@@ -1,7 +1,6 @@
 //! Naive O(n^2) discrete Fourier transform.
 //!
-//! Used as a correctness oracle in tests and as the base-case transform for
-//! small prime sizes inside the mixed-radix driver.
+//! The correctness oracle the fast transforms are tested against.
 
 use crate::complex::Complex64;
 

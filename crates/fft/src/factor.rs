@@ -1,6 +1,6 @@
 //! Integer factorization helpers for FFT planning.
 
-/// Largest radix the mixed-radix Cooley-Tukey kernel handles directly.
+/// Largest radix the Stockham engine handles directly.
 /// Larger prime factors are delegated to the Bluestein algorithm.
 pub const MAX_RADIX: usize = 13;
 
@@ -24,7 +24,7 @@ pub fn factorize(n: usize) -> Vec<usize> {
 }
 
 /// Returns `true` if all prime factors of `n` are at most [`MAX_RADIX`],
-/// i.e. the size can be handled by the mixed-radix kernel without Bluestein.
+/// i.e. the size can be handled by the Stockham engine without Bluestein.
 pub fn is_smooth(n: usize) -> bool {
     factorize(n).into_iter().all(|p| p <= MAX_RADIX)
 }

@@ -1,13 +1,16 @@
 //! # diffreg-fft
 //!
 //! Serial FFT stack for the diffeomorphic registration solver: a minimal
-//! complex type, a naive DFT oracle, a mixed-radix Cooley-Tukey kernel
-//! (radices up to 13), a Bluestein fallback for arbitrary lengths, and
-//! batched/3D drivers.
+//! complex type, a naive DFT oracle, a batched Stockham autosort engine
+//! (radix-4/2/3 butterflies plus a generic stage for primes up to 13), a
+//! Bluestein fallback for arbitrary lengths on the same engine, and row,
+//! column and 3D helpers.
 //!
-//! This replaces FFTW/AccFFT's node-local transforms in the paper's stack;
-//! the distributed pencil transform lives in `diffreg-pfft` and calls into
-//! the 1D plans defined here.
+//! The engine transforms a batch of lines stored as the columns of an
+//! `[n][b]` array in one pass, the inner loops running across lines. This
+//! replaces FFTW/AccFFT's node-local batched transforms in the paper's
+//! stack; the distributed pencil transform lives in `diffreg-pfft` and
+//! drives whole pencils through the column and row helpers defined here.
 
 #![forbid(unsafe_code)]
 #![warn(missing_docs)]
@@ -16,21 +19,17 @@ mod bluestein;
 mod complex;
 mod dft;
 mod factor;
-mod mixed;
 mod nd;
 mod plan;
 mod real;
+mod stockham;
 
-pub use bluestein::BluesteinPlan;
 pub use complex::Complex64;
 pub use dft::{dft_forward, dft_inverse};
 pub use factor::{factorize, is_smooth, next_pow2, MAX_RADIX};
-pub use mixed::MixedRadixPlan;
-pub use nd::{transform_lines, transform_strided, Direction, Fft3d};
+pub use nd::{transform_columns, transform_rows, Direction, Fft3d, FftScratch};
 pub use plan::Fft1d;
-pub use real::{
-    half_len, pack_half_spectrum, unpack_half_spectrum, RealFft1d, RealFft3d, RealScratch,
-};
+pub use real::{half_len, pack_half_spectrum, unpack_half_spectrum, RealFft1d, RealFft3d};
 
 /// Estimated floating-point operation count of one complex FFT of length `n`
 /// (the standard `5 n log2 n` model used in the paper's complexity analysis).

@@ -1,8 +1,9 @@
 //! Batched and multi-dimensional FFT helpers built on [`Fft1d`].
 //!
-//! The distributed transform in `diffreg-pfft` always arranges data so the
-//! active axis is contiguous (last); the serial 3D transform here handles
-//! arbitrary axes with gather/scatter into a contiguous line buffer.
+//! The engine transforms lines stored as the columns of an `[n][b]` array.
+//! Lines that are already columns (every axis but the fastest) are
+//! transformed where they lie, in column blocks; lines that are contiguous
+//! rows go through small transposed tiles.
 
 use crate::complex::Complex64;
 use crate::plan::Fft1d;
@@ -16,48 +17,76 @@ pub enum Direction {
     Inverse,
 }
 
-/// Applies `plan` to every contiguous line of `data`.
-///
-/// `data.len()` must be a multiple of `plan.len()`; each chunk of
-/// `plan.len()` consecutive elements is transformed independently.
-pub fn transform_lines(plan: &Fft1d, data: &mut [Complex64], dir: Direction) {
+/// Rows per transposed tile in [`transform_rows`] and the real row transforms.
+pub(crate) const ROW_TILE: usize = 16;
+
+/// Widest column batch [`transform_columns`] transforms in place; wider
+/// arrays are copied through `[n][COL_BLOCK]` tiles so a block's working
+/// set stays in cache across the engine's stages.
+const COL_BLOCK: usize = 32;
+
+/// Reusable buffers for the batched helpers: a transposed tile and the
+/// engine's scratch. Pass one per thread; the helpers allocate nothing
+/// once it has grown to the largest size they need.
+#[derive(Debug, Default, Clone)]
+pub struct FftScratch {
+    pub(crate) tile: Vec<Complex64>,
+    pub(crate) work: Vec<Complex64>,
+}
+
+/// Applies `plan` to every contiguous row of `data` (`[count][n]`).
+pub fn transform_rows(plan: &Fft1d, data: &mut [Complex64], dir: Direction, ws: &mut FftScratch) {
     let n = plan.len();
     assert_eq!(data.len() % n, 0, "data length must be a multiple of line length");
-    let mut scratch = Vec::with_capacity(n);
-    for line in data.chunks_exact_mut(n) {
-        match dir {
-            Direction::Forward => plan.forward(line, &mut scratch),
-            Direction::Inverse => plan.inverse(line, &mut scratch),
+    for rows in data.chunks_mut(ROW_TILE * n) {
+        let t = rows.len() / n;
+        ws.tile.resize(n * t, Complex64::ZERO);
+        for (l, row) in rows.chunks_exact(n).enumerate() {
+            for (j, &v) in row.iter().enumerate() {
+                ws.tile[j * t + l] = v;
+            }
+        }
+        plan.process(&mut ws.tile, t, dir, &mut ws.work);
+        for (l, row) in rows.chunks_exact_mut(n).enumerate() {
+            for (j, v) in row.iter_mut().enumerate() {
+                *v = ws.tile[j * t + l];
+            }
         }
     }
 }
 
-/// Applies `plan` along strided lines.
-///
-/// There are `count` lines; line `c` consists of elements
-/// `data[c_offset(c) + i * stride]` for `i in 0..plan.len()`, where
-/// `c_offset` enumerates the cartesian product of the non-transformed axes
-/// as provided by `offsets`.
-pub fn transform_strided(
+/// Applies `plan` to every column of `data`, a stack of `[n][width]`
+/// row-major slabs: element `j` of column `c` in slab `s` is
+/// `data[(s * n + j) * width + c]`.
+pub fn transform_columns(
     plan: &Fft1d,
     data: &mut [Complex64],
-    offsets: impl Iterator<Item = usize>,
-    stride: usize,
+    width: usize,
     dir: Direction,
+    ws: &mut FftScratch,
 ) {
     let n = plan.len();
-    let mut line = vec![Complex64::ZERO; n];
-    let mut scratch = Vec::with_capacity(n);
-    for off in offsets {
-        for (i, l) in line.iter_mut().enumerate() {
-            *l = data[off + i * stride];
+    let slab_len = n * width;
+    if slab_len == 0 {
+        assert!(data.is_empty(), "zero-width columns hold no data");
+        return;
+    }
+    assert_eq!(data.len() % slab_len, 0, "data must be a stack of [n][width] slabs");
+    for slab in data.chunks_exact_mut(slab_len) {
+        if width <= COL_BLOCK {
+            plan.process(slab, width, dir, &mut ws.work);
+            continue;
         }
-        match dir {
-            Direction::Forward => plan.forward(&mut line, &mut scratch),
-            Direction::Inverse => plan.inverse(&mut line, &mut scratch),
-        }
-        for (i, l) in line.iter().enumerate() {
-            data[off + i * stride] = *l;
+        for c0 in (0..width).step_by(COL_BLOCK) {
+            let bw = COL_BLOCK.min(width - c0);
+            ws.tile.resize(n * bw, Complex64::ZERO);
+            for (t, s) in ws.tile.chunks_exact_mut(bw).zip(slab.chunks_exact(width)) {
+                t.copy_from_slice(&s[c0..c0 + bw]);
+            }
+            plan.process(&mut ws.tile, bw, dir, &mut ws.work);
+            for (t, s) in ws.tile.chunks_exact(bw).zip(slab.chunks_exact_mut(width)) {
+                s[c0..c0 + bw].copy_from_slice(t);
+            }
         }
     }
 }
@@ -93,19 +122,14 @@ impl Fft3d {
 
     /// Transforms along a single axis only.
     pub fn transform_axis(&self, data: &mut [Complex64], axis: usize, dir: Direction) {
-        let [n0, n1, n2] = self.shape;
+        let [_, n1, n2] = self.shape;
         assert_eq!(data.len(), self.len());
+        let ws = &mut FftScratch::default();
         match axis {
-            2 => transform_lines(&self.plans[2], data, dir),
-            1 => {
-                // Lines run along axis 1 with stride n2; offsets enumerate (i0, i2).
-                let offs = (0..n0).flat_map(move |i0| (0..n2).map(move |i2| i0 * n1 * n2 + i2));
-                transform_strided(&self.plans[1], data, offs, n2, dir);
-            }
-            0 => {
-                let offs = (0..n1).flat_map(move |i1| (0..n2).map(move |i2| i1 * n2 + i2));
-                transform_strided(&self.plans[0], data, offs, n1 * n2, dir);
-            }
+            2 => transform_rows(&self.plans[2], data, dir, ws),
+            // Each axis-0 index holds one [n1][n2] slab of axis-1 columns.
+            1 => transform_columns(&self.plans[1], data, n2, dir, ws),
+            0 => transform_columns(&self.plans[0], data, n1 * n2, dir, ws),
             // diffreg-allow(no-unwrap-in-lib): axis is an internal index in 0..3; the match above handles 1 and 2 exhaustively
             _ => panic!("axis out of range"),
         }
@@ -142,8 +166,7 @@ mod tests {
         // axis 1
         for i0 in 0..n0 {
             for i2 in 0..n2 {
-                let line: Vec<Complex64> =
-                    (0..n1).map(|i1| a[(i0 * n1 + i1) * n2 + i2]).collect();
+                let line: Vec<Complex64> = (0..n1).map(|i1| a[(i0 * n1 + i1) * n2 + i2]).collect();
                 let t = dft_forward(&line);
                 for i1 in 0..n1 {
                     a[(i0 * n1 + i1) * n2 + i2] = t[i1];
@@ -153,8 +176,7 @@ mod tests {
         // axis 0
         for i1 in 0..n1 {
             for i2 in 0..n2 {
-                let line: Vec<Complex64> =
-                    (0..n0).map(|i0| a[(i0 * n1 + i1) * n2 + i2]).collect();
+                let line: Vec<Complex64> = (0..n0).map(|i0| a[(i0 * n1 + i1) * n2 + i2]).collect();
                 let t = dft_forward(&line);
                 for i0 in 0..n0 {
                     a[(i0 * n1 + i1) * n2 + i2] = t[i0];

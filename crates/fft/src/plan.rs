@@ -1,14 +1,15 @@
-//! The user-facing 1D FFT plan, dispatching between the mixed-radix kernel
-//! and the Bluestein fallback.
+//! The user-facing 1D FFT plan, dispatching between the batched Stockham
+//! engine and the Bluestein fallback.
 
 use crate::bluestein::BluesteinPlan;
 use crate::complex::Complex64;
 use crate::factor::is_smooth;
-use crate::mixed::MixedRadixPlan;
+use crate::nd::Direction;
+use crate::stockham::StockhamPlan;
 
 #[derive(Debug, Clone)]
 enum Kind {
-    Mixed(MixedRadixPlan),
+    Stockham(StockhamPlan),
     Bluestein(BluesteinPlan),
 }
 
@@ -24,12 +25,12 @@ pub struct Fft1d {
 
 impl Fft1d {
     /// Plans a transform of length `n > 0`. Smooth sizes (largest prime
-    /// factor <= 13) use mixed-radix Cooley-Tukey; everything else uses
+    /// factor <= 13) use the Stockham engine; everything else uses
     /// Bluestein.
     pub fn new(n: usize) -> Self {
         assert!(n > 0, "FFT length must be positive");
         let kind = if is_smooth(n) {
-            Kind::Mixed(MixedRadixPlan::new(n))
+            Kind::Stockham(StockhamPlan::new(n))
         } else {
             Kind::Bluestein(BluesteinPlan::new(n))
         };
@@ -46,34 +47,55 @@ impl Fft1d {
         false
     }
 
+    /// Transforms a batch of `batch` lines in place. The lines are the
+    /// columns of `data`, an `[n][batch]` row-major array: element `j` of
+    /// line `l` is `data[j * batch + l]`. Forward uses the
+    /// `exp(-2*pi*i*j*k/n)` convention with no normalization; inverse
+    /// carries the `1/n` factor. `scratch` is resized as needed.
+    ///
+    /// Each line's result is bitwise independent of `batch` and of its
+    /// position in the batch.
+    pub fn process(
+        &self,
+        data: &mut [Complex64],
+        batch: usize,
+        dir: Direction,
+        scratch: &mut Vec<Complex64>,
+    ) {
+        assert_eq!(data.len(), self.n * batch, "data must hold n * batch elements");
+        if batch == 0 {
+            return;
+        }
+        let inverse = dir == Direction::Inverse;
+        let scale = inverse.then(|| 1.0 / self.n as f64);
+        match &self.kind {
+            Kind::Stockham(p) => {
+                scratch.resize(data.len(), Complex64::ZERO);
+                p.process(data, batch, inverse, scale, scratch);
+            }
+            Kind::Bluestein(p) => {
+                scratch.resize(p.work_len(batch), Complex64::ZERO);
+                p.process(data, batch, inverse, scale, scratch);
+            }
+        }
+    }
+
     /// Out-of-place forward transform: `out = DFT(input)` with the
     /// `exp(-2*pi*i*j*k/n)` convention and no normalization.
     pub fn forward_into(&self, input: &[Complex64], out: &mut [Complex64]) {
-        match &self.kind {
-            Kind::Mixed(p) => p.forward(input, out),
-            Kind::Bluestein(p) => p.forward(input, out),
-        }
+        out.copy_from_slice(input);
+        self.process(out, 1, Direction::Forward, &mut Vec::new());
     }
 
-    /// In-place forward transform; `scratch` is resized as needed.
+    /// In-place forward transform of one line; `scratch` is resized as needed.
     pub fn forward(&self, buf: &mut [Complex64], scratch: &mut Vec<Complex64>) {
-        assert_eq!(buf.len(), self.n);
-        scratch.clear();
-        scratch.extend_from_slice(buf);
-        self.forward_into(scratch, buf);
+        self.process(buf, 1, Direction::Forward, scratch);
     }
 
-    /// In-place inverse transform with `1/n` normalization, so that
-    /// `inverse(forward(x)) == x`.
+    /// In-place inverse transform of one line with `1/n` normalization, so
+    /// that `inverse(forward(x)) == x`.
     pub fn inverse(&self, buf: &mut [Complex64], scratch: &mut Vec<Complex64>) {
-        assert_eq!(buf.len(), self.n);
-        scratch.clear();
-        scratch.extend(buf.iter().map(|z| z.conj()));
-        self.forward_into(scratch, buf);
-        let s = 1.0 / self.n as f64;
-        for z in buf.iter_mut() {
-            *z = z.conj().scale(s);
-        }
+        self.process(buf, 1, Direction::Inverse, scratch);
     }
 }
 

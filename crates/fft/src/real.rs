@@ -25,7 +25,7 @@
 use std::f64::consts::TAU;
 
 use crate::complex::Complex64;
-use crate::nd::{transform_strided, Direction};
+use crate::nd::{transform_columns, Direction, FftScratch, ROW_TILE};
 use crate::plan::Fft1d;
 
 /// Number of stored half-spectrum bins for a real transform of length `n`.
@@ -52,14 +52,6 @@ pub fn unpack_half_spectrum(half: &[Complex64], n: usize) -> Vec<Complex64> {
     full
 }
 
-/// Reusable scratch for [`RealFft1d`]; pass one per thread and the plan
-/// performs no heap allocation in steady state.
-#[derive(Debug, Default, Clone)]
-pub struct RealScratch {
-    a: Vec<Complex64>,
-    b: Vec<Complex64>,
-}
-
 #[derive(Debug, Clone)]
 enum RealKind {
     /// Even length `2m`: half-length complex plan plus split twiddles
@@ -72,6 +64,10 @@ enum RealKind {
 /// A reusable plan for 1D real-to-complex / complex-to-real transforms of
 /// one fixed length, with the same conventions as [`Fft1d`]: forward is
 /// unnormalized, inverse carries the `1/n` factor.
+///
+/// The row methods transform many contiguous lines at once: tiles of
+/// [`ROW_TILE`] lines are transposed into the batched complex engine, so
+/// each line's result is bitwise independent of how many lines share a call.
 #[derive(Debug, Clone)]
 pub struct RealFft1d {
     n: usize,
@@ -115,77 +111,115 @@ impl RealFft1d {
         half_len(self.n)
     }
 
-    /// Forward r2c transform: `out[k] = sum_j x[j] e^{-2 pi i j k / n}` for
-    /// `k = 0..=n/2` (unnormalized).
-    pub fn forward(&self, x: &[f64], out: &mut [Complex64], ws: &mut RealScratch) {
+    /// Forward r2c transform of one line: `out[k] = sum_j x[j] e^{-2 pi i j k / n}`
+    /// for `k = 0..=n/2` (unnormalized).
+    pub fn forward(&self, x: &[f64], out: &mut [Complex64], ws: &mut FftScratch) {
         assert_eq!(x.len(), self.n);
-        assert_eq!(out.len(), self.half_len());
-        match &self.kind {
-            RealKind::Even { half, tw } => {
-                let m = self.n / 2;
-                ws.a.clear();
-                ws.a.resize(2 * m, Complex64::ZERO);
-                let (z, zf) = ws.a.split_at_mut(m);
-                for (j, zj) in z.iter_mut().enumerate() {
-                    *zj = Complex64::new(x[2 * j], x[2 * j + 1]);
+        self.forward_rows(x, out, ws);
+    }
+
+    /// Inverse c2r transform of one line with `1/n` normalization, so that
+    /// `inverse(forward(x)) == x` up to rounding. The input half spectrum
+    /// is assumed Hermitian-consistent (as produced by [`Self::forward`] or
+    /// any real symbol applied to it).
+    pub fn inverse(&self, spec: &[Complex64], out: &mut [f64], ws: &mut FftScratch) {
+        assert_eq!(out.len(), self.n);
+        self.inverse_rows(spec, out, ws);
+    }
+
+    /// Forward r2c transform of every row: `x` is `[count][n]`, `out` is
+    /// `[count][n/2 + 1]`.
+    pub fn forward_rows(&self, x: &[f64], out: &mut [Complex64], ws: &mut FftScratch) {
+        let (n, h) = (self.n, self.half_len());
+        assert_eq!(x.len() % n, 0, "input must be whole rows");
+        assert_eq!(out.len() / h, x.len() / n, "one spectrum row per input row");
+        assert_eq!(out.len() % h, 0, "output must be whole spectrum rows");
+        for (xs, outs) in x.chunks(ROW_TILE * n).zip(out.chunks_mut(ROW_TILE * h)) {
+            let t = xs.len() / n;
+            let FftScratch { tile, work } = ws;
+            match &self.kind {
+                RealKind::Even { half, tw } => {
+                    let m = n / 2;
+                    tile.resize(m * t, Complex64::ZERO);
+                    for (l, row) in xs.chunks_exact(n).enumerate() {
+                        for (j, pair) in row.chunks_exact(2).enumerate() {
+                            tile[j * t + l] = Complex64::new(pair[0], pair[1]);
+                        }
+                    }
+                    half.process(tile, t, Direction::Forward, work);
+                    for (l, o) in outs.chunks_exact_mut(h).enumerate() {
+                        for (k, ok) in o.iter_mut().enumerate() {
+                            let a = tile[(k % m) * t + l];
+                            let b = tile[((m - k) % m) * t + l].conj();
+                            let even = (a + b).scale(0.5);
+                            let odd = (a - b) * Complex64::new(0.0, -0.5);
+                            *ok = even + tw[k] * odd;
+                        }
+                    }
                 }
-                half.forward_into(z, zf);
-                for (k, o) in out.iter_mut().enumerate() {
-                    let a = zf[k % m];
-                    let b = zf[(m - k) % m].conj();
-                    let even = (a + b).scale(0.5);
-                    let odd = (a - b) * Complex64::new(0.0, -0.5);
-                    *o = even + tw[k] * odd;
+                RealKind::Full { plan } => {
+                    tile.resize(n * t, Complex64::ZERO);
+                    for (l, row) in xs.chunks_exact(n).enumerate() {
+                        for (j, &v) in row.iter().enumerate() {
+                            tile[j * t + l] = Complex64::from_real(v);
+                        }
+                    }
+                    plan.process(tile, t, Direction::Forward, work);
+                    for (l, o) in outs.chunks_exact_mut(h).enumerate() {
+                        for (k, ok) in o.iter_mut().enumerate() {
+                            *ok = tile[k * t + l];
+                        }
+                    }
                 }
-            }
-            RealKind::Full { plan } => {
-                ws.a.clear();
-                ws.a.resize(2 * self.n, Complex64::ZERO);
-                let (zin, zout) = ws.a.split_at_mut(self.n);
-                for (j, zj) in zin.iter_mut().enumerate() {
-                    *zj = Complex64::from_real(x[j]);
-                }
-                plan.forward_into(zin, zout);
-                out.copy_from_slice(&zout[..self.half_len()]);
             }
         }
     }
 
-    /// Inverse c2r transform with `1/n` normalization, so that
-    /// `inverse(forward(x)) == x` up to rounding. The input half spectrum
-    /// is assumed Hermitian-consistent (as produced by [`Self::forward`] or
-    /// any real symbol applied to it).
-    pub fn inverse(&self, spec: &[Complex64], out: &mut [f64], ws: &mut RealScratch) {
-        assert_eq!(spec.len(), self.half_len());
-        assert_eq!(out.len(), self.n);
-        match &self.kind {
-            RealKind::Even { half, tw } => {
-                let m = self.n / 2;
-                ws.a.clear();
-                ws.a.resize(m, Complex64::ZERO);
-                for (k, zk) in ws.a.iter_mut().enumerate() {
-                    let xk = spec[k];
-                    let xmk = spec[m - k].conj();
-                    let even = (xk + xmk).scale(0.5);
-                    let odd = tw[k].conj() * (xk - xmk).scale(0.5);
-                    *zk = even + Complex64::I * odd;
+    /// Inverse c2r transform of every row: `spec` is `[count][n/2 + 1]`,
+    /// `out` is `[count][n]`. Normalized by `1/n` like [`Self::inverse`].
+    pub fn inverse_rows(&self, spec: &[Complex64], out: &mut [f64], ws: &mut FftScratch) {
+        let (n, h) = (self.n, self.half_len());
+        assert_eq!(out.len() % n, 0, "output must be whole rows");
+        assert_eq!(spec.len() / h, out.len() / n, "one spectrum row per output row");
+        assert_eq!(spec.len() % h, 0, "input must be whole spectrum rows");
+        for (specs, outs) in spec.chunks(ROW_TILE * h).zip(out.chunks_mut(ROW_TILE * n)) {
+            let t = outs.len() / n;
+            let FftScratch { tile, work } = ws;
+            match &self.kind {
+                RealKind::Even { half, tw } => {
+                    let m = n / 2;
+                    tile.resize(m * t, Complex64::ZERO);
+                    for (l, s) in specs.chunks_exact(h).enumerate() {
+                        for k in 0..m {
+                            let xk = s[k];
+                            let xmk = s[m - k].conj();
+                            let even = (xk + xmk).scale(0.5);
+                            let odd = tw[k].conj() * (xk - xmk).scale(0.5);
+                            tile[k * t + l] = even + Complex64::I * odd;
+                        }
+                    }
+                    half.process(tile, t, Direction::Inverse, work);
+                    for (l, row) in outs.chunks_exact_mut(n).enumerate() {
+                        for (j, pair) in row.chunks_exact_mut(2).enumerate() {
+                            let z = tile[j * t + l];
+                            pair[0] = z.re;
+                            pair[1] = z.im;
+                        }
+                    }
                 }
-                half.inverse(&mut ws.a, &mut ws.b);
-                for (j, z) in ws.a.iter().enumerate() {
-                    out[2 * j] = z.re;
-                    out[2 * j + 1] = z.im;
-                }
-            }
-            RealKind::Full { plan } => {
-                ws.a.clear();
-                ws.a.resize(self.n, Complex64::ZERO);
-                ws.a[..spec.len()].copy_from_slice(spec);
-                for k in spec.len()..self.n {
-                    ws.a[k] = spec[self.n - k].conj();
-                }
-                plan.inverse(&mut ws.a, &mut ws.b);
-                for (x, z) in out.iter_mut().zip(ws.a.iter()) {
-                    *x = z.re;
+                RealKind::Full { plan } => {
+                    tile.resize(n * t, Complex64::ZERO);
+                    for (l, s) in specs.chunks_exact(h).enumerate() {
+                        for k in 0..n {
+                            tile[k * t + l] = if k < h { s[k] } else { s[n - k].conj() };
+                        }
+                    }
+                    plan.process(tile, t, Direction::Inverse, work);
+                    for (l, row) in outs.chunks_exact_mut(n).enumerate() {
+                        for (j, x) in row.iter_mut().enumerate() {
+                            *x = tile[j * t + l].re;
+                        }
+                    }
                 }
             }
         }
@@ -236,14 +270,10 @@ impl RealFft3d {
         let n2h = half_len(n2);
         assert_eq!(x.len(), n0 * n1 * n2);
         let mut out = vec![Complex64::ZERO; n0 * n1 * n2h];
-        let mut ws = RealScratch::default();
-        for (line, spec) in x.chunks_exact(n2).zip(out.chunks_exact_mut(n2h)) {
-            self.r2.forward(line, spec, &mut ws);
-        }
-        let offs1 = (0..n0).flat_map(move |i0| (0..n2h).map(move |i2| i0 * n1 * n2h + i2));
-        transform_strided(&self.c1, &mut out, offs1, n2h, Direction::Forward);
-        let offs0 = (0..n1).flat_map(move |i1| (0..n2h).map(move |i2| i1 * n2h + i2));
-        transform_strided(&self.c0, &mut out, offs0, n1 * n2h, Direction::Forward);
+        let ws = &mut FftScratch::default();
+        self.r2.forward_rows(x, &mut out, ws);
+        transform_columns(&self.c1, &mut out, n2h, Direction::Forward, ws);
+        transform_columns(&self.c0, &mut out, n1 * n2h, Direction::Forward, ws);
         out
     }
 
@@ -253,15 +283,11 @@ impl RealFft3d {
         let n2h = half_len(n2);
         assert_eq!(spec.len(), n0 * n1 * n2h);
         let mut buf = spec.to_vec();
-        let offs0 = (0..n1).flat_map(move |i1| (0..n2h).map(move |i2| i1 * n2h + i2));
-        transform_strided(&self.c0, &mut buf, offs0, n1 * n2h, Direction::Inverse);
-        let offs1 = (0..n0).flat_map(move |i0| (0..n2h).map(move |i2| i0 * n1 * n2h + i2));
-        transform_strided(&self.c1, &mut buf, offs1, n2h, Direction::Inverse);
+        let ws = &mut FftScratch::default();
+        transform_columns(&self.c0, &mut buf, n1 * n2h, Direction::Inverse, ws);
+        transform_columns(&self.c1, &mut buf, n2h, Direction::Inverse, ws);
         let mut out = vec![0.0; n0 * n1 * n2];
-        let mut ws = RealScratch::default();
-        for (line, half) in out.chunks_exact_mut(n2).zip(buf.chunks_exact(n2h)) {
-            self.r2.inverse(half, line, &mut ws);
-        }
+        self.r2.inverse_rows(&buf, &mut out, ws);
         out
     }
 }
@@ -284,7 +310,7 @@ mod tests {
             let expect = dft_forward(&full);
             let plan = RealFft1d::new(n);
             let mut out = vec![Complex64::ZERO; plan.half_len()];
-            let mut ws = RealScratch::default();
+            let mut ws = FftScratch::default();
             plan.forward(&x, &mut out, &mut ws);
             for (k, (a, b)) in out.iter().zip(expect.iter()).enumerate() {
                 assert!((*a - *b).abs() < 1e-10 * n as f64, "n={n} k={k}: {a:?} vs {b:?}");
@@ -298,7 +324,7 @@ mod tests {
             let x: Vec<f64> = (0..n).map(|i| (i as f64 * 1.3).cos() - 0.2).collect();
             let plan = RealFft1d::new(n);
             let mut out = vec![Complex64::ZERO; plan.half_len()];
-            plan.forward(&x, &mut out, &mut RealScratch::default());
+            plan.forward(&x, &mut out, &mut FftScratch::default());
             assert_eq!(out[0].im.to_bits(), 0.0f64.to_bits(), "DC bin, n={n}");
             assert_eq!(out[n / 2].im.to_bits(), 0.0f64.to_bits(), "Nyquist bin, n={n}");
         }
@@ -311,7 +337,7 @@ mod tests {
             let plan = RealFft1d::new(n);
             let mut spec = vec![Complex64::ZERO; plan.half_len()];
             let mut back = vec![0.0; n];
-            let mut ws = RealScratch::default();
+            let mut ws = FftScratch::default();
             plan.forward(&x, &mut spec, &mut ws);
             plan.inverse(&spec, &mut back, &mut ws);
             for (a, b) in back.iter().zip(x.iter()) {
@@ -331,7 +357,7 @@ mod tests {
             let x: Vec<f64> = (0..n).map(|_| rng.uniform(-1.0, 1.0)).collect();
             let plan = RealFft1d::new(n);
             let mut half = vec![Complex64::ZERO; plan.half_len()];
-            plan.forward(&x, &mut half, &mut RealScratch::default());
+            plan.forward(&x, &mut half, &mut FftScratch::default());
 
             let full = unpack_half_spectrum(&half, n);
             // Hermitian symmetry of the reconstruction is exact for every

@@ -1,8 +1,12 @@
 //! Seeded property tests of the FFT stack (via `testkit::prop_check!`): the
 //! algebraic identities that must hold for every transform length, including
-//! primes (Bluestein) and mixed composites, plus analytic plane-wave oracles.
+//! primes (Bluestein) and mixed composites, plus analytic plane-wave oracles,
+//! and bitwise batch determinism of the batched engine and its row/column helpers.
 
-use diffreg_fft::{dft_forward, Complex64, Fft1d};
+use diffreg_fft::{
+    dft_forward, transform_columns, transform_rows, Complex64, Direction, Fft1d, FftScratch,
+    RealFft1d,
+};
 use diffreg_testkit::{prop_check, Rng};
 
 fn random_signal(rng: &mut Rng, max_len: usize) -> Vec<Complex64> {
@@ -167,6 +171,114 @@ fn complex_exponential_hits_single_bin() {
                 (*v - expect).abs() < 1e-8 * n as f64,
                 "N={n} k={k}: bin {bin} = {v:?}, expected {expect:?}"
             );
+        }
+    });
+}
+
+fn bits(z: Complex64) -> (u64, u64) {
+    (z.re.to_bits(), z.im.to_bits())
+}
+
+/// A random length for the batch-determinism tests: a product of radices
+/// from {2, 3, 4, 5, 7, 11, 13} (the Stockham stages), or one in four a
+/// length with a prime factor above 13 (the Bluestein path).
+fn random_engine_len(rng: &mut Rng) -> usize {
+    if rng.index(4) == 0 {
+        return [17, 19, 37, 2 * 23, 97][rng.index(5)];
+    }
+    let mut n = 1;
+    for _ in 0..1 + rng.index(4) {
+        let r = [2, 3, 4, 5, 7, 11, 13][rng.index(7)];
+        if n * r <= 600 {
+            n *= r;
+        }
+    }
+    n
+}
+
+/// The batched engine transforms each line bitwise as it transforms the
+/// line alone, whatever the batch width and wherever the line sits in the
+/// batch, in both directions.
+#[test]
+fn batched_line_is_bitwise_its_batch_of_one() {
+    prop_check!(cases = 96, |rng| {
+        let n = random_engine_len(rng);
+        let batch = 1 + rng.index(40);
+        let lane = rng.index(batch);
+        let data: Vec<Complex64> = (0..n * batch)
+            .map(|_| Complex64::new(rng.uniform(-1.0, 1.0), rng.uniform(-1.0, 1.0)))
+            .collect();
+        let plan = Fft1d::new(n);
+        let mut scratch = Vec::new();
+        for dir in [Direction::Forward, Direction::Inverse] {
+            let mut batched = data.clone();
+            plan.process(&mut batched, batch, dir, &mut scratch);
+            let mut line: Vec<Complex64> = (0..n).map(|j| data[j * batch + lane]).collect();
+            plan.process(&mut line, 1, dir, &mut scratch);
+            for (j, z) in line.iter().enumerate() {
+                assert_eq!(
+                    bits(batched[j * batch + lane]),
+                    bits(*z),
+                    "n={n} batch={batch} lane={lane} {dir:?} bin {j}"
+                );
+            }
+        }
+    });
+}
+
+/// The row, column and real-row helpers tile and block the batch; each
+/// line still comes out bitwise equal to its batch-of-one transform.
+#[test]
+fn row_and_column_helpers_match_batch_of_one_bitwise() {
+    prop_check!(cases = 32, |rng| {
+        let n = random_engine_len(rng).min(96);
+        let count = 1 + rng.index(80);
+        let pick = rng.index(count);
+        let data: Vec<Complex64> = (0..n * count)
+            .map(|_| Complex64::new(rng.uniform(-1.0, 1.0), rng.uniform(-1.0, 1.0)))
+            .collect();
+        let plan = Fft1d::new(n);
+        let ws = &mut FftScratch::default();
+        let mut scratch = Vec::new();
+        for dir in [Direction::Forward, Direction::Inverse] {
+            // Rows: data is [count][n].
+            let mut rows = data.clone();
+            transform_rows(&plan, &mut rows, dir, ws);
+            let mut line = data[pick * n..(pick + 1) * n].to_vec();
+            plan.process(&mut line, 1, dir, &mut scratch);
+            for (a, b) in rows[pick * n..(pick + 1) * n].iter().zip(&line) {
+                assert_eq!(bits(*a), bits(*b), "rows n={n} count={count} {dir:?}");
+            }
+            // Columns: data is [n][count].
+            let mut cols = data.clone();
+            transform_columns(&plan, &mut cols, count, dir, ws);
+            let mut line: Vec<Complex64> = (0..n).map(|j| data[j * count + pick]).collect();
+            plan.process(&mut line, 1, dir, &mut scratch);
+            for (j, b) in line.iter().enumerate() {
+                assert_eq!(
+                    bits(cols[j * count + pick]),
+                    bits(*b),
+                    "cols n={n} width={count} {dir:?}"
+                );
+            }
+        }
+        // Real rows: forward_rows / inverse_rows against one-line calls.
+        let rplan = RealFft1d::new(n);
+        let h = rplan.half_len();
+        let x: Vec<f64> = data.iter().map(|z| z.re).collect();
+        let mut spec = vec![Complex64::ZERO; count * h];
+        rplan.forward_rows(&x, &mut spec, ws);
+        let mut one = vec![Complex64::ZERO; h];
+        rplan.forward(&x[pick * n..(pick + 1) * n], &mut one, ws);
+        for (a, b) in spec[pick * h..(pick + 1) * h].iter().zip(&one) {
+            assert_eq!(bits(*a), bits(*b), "r2c rows n={n} count={count}");
+        }
+        let mut back = vec![0.0; count * n];
+        rplan.inverse_rows(&spec, &mut back, ws);
+        let mut line = vec![0.0; n];
+        rplan.inverse(&one, &mut line, ws);
+        for (a, b) in back[pick * n..(pick + 1) * n].iter().zip(&line) {
+            assert_eq!(a.to_bits(), b.to_bits(), "c2r rows n={n} count={count}");
         }
     });
 }

@@ -6,14 +6,20 @@
 //! FFT along axis 0. Diagonal operators act on the spectral layout; the
 //! inverse retraces the steps.
 //!
+//! Every 1D step runs whole pencils through the batched engine in place:
+//! each `i0` slab of the mid layout is one `[n1][c2]` batch of axis-1
+//! columns, the spectral block is one `[n0][c1 c2]` batch of axis-0 columns
+//! (transformed in column blocks), and axis-2 rows go through small
+//! transposed tiles.
+//!
 //! Timing convention matches the paper's tables: time spent inside the
 //! transposes is accumulated under `"fft_comm"`, the 1D transforms under
 //! `"fft_exec"`.
 
 use diffreg_comm::{Comm, Timers};
 use diffreg_fft::{
-    half_len, transform_lines, transform_strided, Complex64, Direction, Fft1d, RealFft1d,
-    RealScratch,
+    half_len, transform_columns, transform_rows, Complex64, Direction, Fft1d, FftScratch,
+    RealFft1d,
 };
 use diffreg_grid::{Decomp, Grid, Layout, ScalarField, VectorField};
 use diffreg_spectral::RegOrder;
@@ -131,30 +137,17 @@ impl<C: Comm> PencilFft<C> {
         let sb = self.spatial_block();
         assert_eq!(field.block(), sb, "field not in this plan's spatial layout");
         let n = self.decomp.grid.n;
-        let [c0, c1, _] = sb.count;
+        let c0 = sb.count[0];
+        let ws = &mut FftScratch::default();
 
         let mut data: Vec<Complex64> =
             field.data().iter().map(|&v| Complex64::from_real(v)).collect();
-        // Axis 2 (contiguous lines).
-        timers.time("fft_exec", || transform_lines(&self.plans[2], &mut data, Direction::Forward));
-        // Row transpose: (c0, c1, n2) -> (c0, n1, c2_row).
-        let mut data = timers.time("fft_comm", || fwd_mid(&self.row, &data, c0, n[1], n[2]));
-        // Axis 1: lines of length n1, stride c2.
-        let c2 = diffreg_grid::slab(n[2], self.row.size(), self.row.rank()).1;
-        timers.time("fft_exec", || {
-            let offs = (0..c0).flat_map(move |i0| (0..c2).map(move |i2| i0 * n[1] * c2 + i2));
-            transform_strided(&self.plans[1], &mut data, offs, c2, Direction::Forward);
-        });
-        // Column transpose: (c0, n1, c2) -> (n0, c1_col, c2).
-        let mut data = timers.time("fft_comm", || fwd_spec(&self.col, &data, n[0], n[1], c2));
-        // Axis 0: lines of length n0, stride c1_col * c2.
-        let c1s = diffreg_grid::slab(n[1], self.col.size(), self.col.rank()).1;
-        timers.time("fft_exec", || {
-            let offs = (0..c1s).flat_map(move |i1| (0..c2).map(move |i2| i1 * c2 + i2));
-            transform_strided(&self.plans[0], &mut data, offs, c1s * c2, Direction::Forward);
-        });
+        // Axis 2: contiguous rows, through transposed tiles.
+        let plan2 = &self.plans[2];
+        timers.time("fft_exec", || transform_rows(plan2, &mut data, Direction::Forward, ws));
+        let data = timers.time("fft_comm", || fwd_mid(&self.row, data, c0, n[1], n[2]));
+        let data = self.forward_mid_spec(data, n[2], timers, ws);
         timers.count("fft_3d", 1);
-        let _ = c1; // silence in release: c1 only used in debug asserts above
         SpectralField { grid: self.decomp.grid, block: self.spectral_block(), data }
     }
 
@@ -163,23 +156,14 @@ impl<C: Comm> PencilFft<C> {
         let _span = diffreg_telemetry::span("fft.inverse");
         assert_eq!(spec.block, self.spectral_block(), "coefficients not in this plan's layout");
         let n = self.decomp.grid.n;
-        let c2 = diffreg_grid::slab(n[2], self.row.size(), self.row.rank()).1;
-        let c1s = diffreg_grid::slab(n[1], self.col.size(), self.col.rank()).1;
         let sb = self.spatial_block();
-        let [c0, _, _] = sb.count;
+        let ws = &mut FftScratch::default();
 
-        let mut data = spec.data.clone();
-        timers.time("fft_exec", || {
-            let offs = (0..c1s).flat_map(move |i1| (0..c2).map(move |i2| i1 * c2 + i2));
-            transform_strided(&self.plans[0], &mut data, offs, c1s * c2, Direction::Inverse);
-        });
-        let mut data = timers.time("fft_comm", || inv_spec(&self.col, &data, n[0], n[1], c2));
-        timers.time("fft_exec", || {
-            let offs = (0..c0).flat_map(move |i0| (0..c2).map(move |i2| i0 * n[1] * c2 + i2));
-            transform_strided(&self.plans[1], &mut data, offs, c2, Direction::Inverse);
-        });
-        let mut data = timers.time("fft_comm", || inv_mid(&self.row, &data, c0, n[1], n[2]));
-        timers.time("fft_exec", || transform_lines(&self.plans[2], &mut data, Direction::Inverse));
+        let data = self.inverse_spec_mid(spec.data.clone(), n[2], timers, ws);
+        let c0 = sb.count[0];
+        let mut data = timers.time("fft_comm", || inv_mid(&self.row, data, c0, n[1], n[2]));
+        let plan2 = &self.plans[2];
+        timers.time("fft_exec", || transform_rows(plan2, &mut data, Direction::Inverse, ws));
         timers.count("fft_3d", 1);
         ScalarField::from_vec(sb, data.into_iter().map(|z| z.re).collect())
     }
@@ -200,30 +184,14 @@ impl<C: Comm> PencilFft<C> {
         let n = self.decomp.grid.n;
         let n2h = half_len(n[2]);
         let [c0, c1, _] = sb.count;
+        let ws = &mut FftScratch::default();
 
-        // Axis 2: r2c lines straight from the real data (no complex
+        // Axis 2: r2c rows straight from the real data (no complex
         // widening pass over the full field).
         let mut data = vec![Complex64::ZERO; c0 * c1 * n2h];
-        timers.time("fft_exec", || {
-            let mut ws = RealScratch::default();
-            for (line, spec) in field.data().chunks_exact(n[2]).zip(data.chunks_exact_mut(n2h)) {
-                self.rplan2.forward(line, spec, &mut ws);
-            }
-        });
-        // Row transpose: (c0, c1, n2h) -> (c0, n1, c2h).
-        let mut data = timers.time("fft_comm", || fwd_mid(&self.row, &data, c0, n[1], n2h));
-        let c2h = diffreg_grid::slab(n2h, self.row.size(), self.row.rank()).1;
-        timers.time("fft_exec", || {
-            let offs = (0..c0).flat_map(move |i0| (0..c2h).map(move |i2| i0 * n[1] * c2h + i2));
-            transform_strided(&self.plans[1], &mut data, offs, c2h, Direction::Forward);
-        });
-        // Column transpose: (c0, n1, c2h) -> (n0, c1_col, c2h).
-        let mut data = timers.time("fft_comm", || fwd_spec(&self.col, &data, n[0], n[1], c2h));
-        let c1s = diffreg_grid::slab(n[1], self.col.size(), self.col.rank()).1;
-        timers.time("fft_exec", || {
-            let offs = (0..c1s).flat_map(move |i1| (0..c2h).map(move |i2| i1 * c2h + i2));
-            transform_strided(&self.plans[0], &mut data, offs, c1s * c2h, Direction::Forward);
-        });
+        timers.time("fft_exec", || self.rplan2.forward_rows(field.data(), &mut data, ws));
+        let data = timers.time("fft_comm", || fwd_mid(&self.row, data, c0, n[1], n2h));
+        let data = self.forward_mid_spec(data, n2h, timers, ws);
         timers.count("fft_3d", 1);
         HalfSpectralField { grid: self.decomp.grid, block: self.half_block(), data }
     }
@@ -235,31 +203,63 @@ impl<C: Comm> PencilFft<C> {
         assert_eq!(spec.block, self.half_block(), "coefficients not in this plan's half layout");
         let n = self.decomp.grid.n;
         let n2h = half_len(n[2]);
-        let c2h = diffreg_grid::slab(n2h, self.row.size(), self.row.rank()).1;
-        let c1s = diffreg_grid::slab(n[1], self.col.size(), self.col.rank()).1;
         let sb = self.spatial_block();
         let [c0, c1, _] = sb.count;
+        let ws = &mut FftScratch::default();
 
-        let mut data = spec.data.clone();
-        timers.time("fft_exec", || {
-            let offs = (0..c1s).flat_map(move |i1| (0..c2h).map(move |i2| i1 * c2h + i2));
-            transform_strided(&self.plans[0], &mut data, offs, c1s * c2h, Direction::Inverse);
-        });
-        let mut data = timers.time("fft_comm", || inv_spec(&self.col, &data, n[0], n[1], c2h));
-        timers.time("fft_exec", || {
-            let offs = (0..c0).flat_map(move |i0| (0..c2h).map(move |i2| i0 * n[1] * c2h + i2));
-            transform_strided(&self.plans[1], &mut data, offs, c2h, Direction::Inverse);
-        });
-        let data = timers.time("fft_comm", || inv_mid(&self.row, &data, c0, n[1], n2h));
+        let data = self.inverse_spec_mid(spec.data.clone(), n2h, timers, ws);
+        let data = timers.time("fft_comm", || inv_mid(&self.row, data, c0, n[1], n2h));
         let mut out = vec![0.0; c0 * c1 * n[2]];
-        timers.time("fft_exec", || {
-            let mut ws = RealScratch::default();
-            for (line, spec) in out.chunks_exact_mut(n[2]).zip(data.chunks_exact(n2h)) {
-                self.rplan2.inverse(spec, line, &mut ws);
-            }
-        });
+        timers.time("fft_exec", || self.rplan2.inverse_rows(&data, &mut out, ws));
         timers.count("fft_3d", 1);
         ScalarField::from_vec(sb, out)
+    }
+
+    /// The forward steps after the row transpose, shared by the c2c and
+    /// r2c paths: `data` is the mid layout `(c0, n1, c2)` with `nz` the
+    /// global axis-2 extent (`n2` or `n2/2 + 1`). Each `i0` slab is one
+    /// `[n1][c2]` batch of axis-1 columns; after the column transpose the
+    /// whole `[n0][c1 c2]` block is one batch of axis-0 columns.
+    fn forward_mid_spec(
+        &self,
+        mut data: Vec<Complex64>,
+        nz: usize,
+        timers: &Timers,
+        ws: &mut FftScratch,
+    ) -> Vec<Complex64> {
+        let n = self.decomp.grid.n;
+        let c2 = diffreg_grid::slab(nz, self.row.size(), self.row.rank()).1;
+        let c1 = diffreg_grid::slab(n[1], self.col.size(), self.col.rank()).1;
+        timers.time("fft_exec", || {
+            transform_columns(&self.plans[1], &mut data, c2, Direction::Forward, ws)
+        });
+        let mut data = timers.time("fft_comm", || fwd_spec(&self.col, data, n[0], n[1], c2));
+        timers.time("fft_exec", || {
+            transform_columns(&self.plans[0], &mut data, c1 * c2, Direction::Forward, ws)
+        });
+        data
+    }
+
+    /// Inverse of [`Self::forward_mid_spec`]: spectral layout in, mid
+    /// layout `(c0, n1, c2)` out.
+    fn inverse_spec_mid(
+        &self,
+        mut data: Vec<Complex64>,
+        nz: usize,
+        timers: &Timers,
+        ws: &mut FftScratch,
+    ) -> Vec<Complex64> {
+        let n = self.decomp.grid.n;
+        let c2 = diffreg_grid::slab(nz, self.row.size(), self.row.rank()).1;
+        let c1 = diffreg_grid::slab(n[1], self.col.size(), self.col.rank()).1;
+        timers.time("fft_exec", || {
+            transform_columns(&self.plans[0], &mut data, c1 * c2, Direction::Inverse, ws)
+        });
+        let mut data = timers.time("fft_comm", || inv_spec(&self.col, data, n[0], n[1], c2));
+        timers.time("fft_exec", || {
+            transform_columns(&self.plans[1], &mut data, c2, Direction::Inverse, ws)
+        });
+        data
     }
 
     /// Applies a real diagonal symbol `sym(|k|²)` to a field (2 FFTs).

@@ -1,9 +1,11 @@
 //! Pencil transposes: the alltoallv data rearrangements between the three
 //! layouts of the distributed FFT (paper Fig. 4 b/c).
 //!
-//! All four functions operate on one rank's local array of `Complex64` and
+//! All four functions take one rank's local array of `Complex64` and
 //! exchange sub-boxes within a row or column sub-communicator. Memory order
-//! is always row-major with the last listed axis fastest.
+//! is always row-major with the last listed axis fastest. On a one-rank
+//! group the input and output layouts coincide, so the input is returned
+//! as it is: no pack, no self-exchange, no unpack.
 
 use diffreg_comm::Comm;
 use diffreg_fft::Complex64;
@@ -17,12 +19,15 @@ use diffreg_grid::slab;
 /// (`a` = local axis-0 extent, `b` = axis 1, `c` = axis 2).
 pub fn fwd_mid<C: Comm>(
     comm: &C,
-    data: &[Complex64],
+    data: Vec<Complex64>,
     a: usize,
     nb: usize,
     nc: usize,
 ) -> Vec<Complex64> {
     let p = comm.size();
+    if p == 1 {
+        return data;
+    }
     let me = comm.rank();
     let (_, b_me) = slab(nb, p, me);
     let (_, c_me) = slab(nc, p, me);
@@ -61,12 +66,15 @@ pub fn fwd_mid<C: Comm>(
 /// `(a, b_me, NC)`.
 pub fn inv_mid<C: Comm>(
     comm: &C,
-    data: &[Complex64],
+    data: Vec<Complex64>,
     a: usize,
     nb: usize,
     nc: usize,
 ) -> Vec<Complex64> {
     let p = comm.size();
+    if p == 1 {
+        return data;
+    }
     let me = comm.rank();
     let (_, b_me) = slab(nb, p, me);
     let (_, c_me) = slab(nc, p, me);
@@ -109,12 +117,15 @@ pub fn inv_mid<C: Comm>(
 /// (`a` = axis 0, `b` = axis 1, `c` = local axis-2 extent).
 pub fn fwd_spec<C: Comm>(
     comm: &C,
-    data: &[Complex64],
+    data: Vec<Complex64>,
     na: usize,
     nb: usize,
     c: usize,
 ) -> Vec<Complex64> {
     let p = comm.size();
+    if p == 1 {
+        return data;
+    }
     let me = comm.rank();
     let (_, a_me) = slab(na, p, me);
     let (_, b_me) = slab(nb, p, me);
@@ -153,12 +164,15 @@ pub fn fwd_spec<C: Comm>(
 /// `(a_me, NB, c)`.
 pub fn inv_spec<C: Comm>(
     comm: &C,
-    data: &[Complex64],
+    data: Vec<Complex64>,
     na: usize,
     nb: usize,
     c: usize,
 ) -> Vec<Complex64> {
     let p = comm.size();
+    if p == 1 {
+        return data;
+    }
     let me = comm.rank();
     let (_, a_me) = slab(na, p, me);
     let (_, b_me) = slab(nb, p, me);
@@ -219,7 +233,7 @@ mod tests {
                     }
                 }
             }
-            let mid = fwd_mid(comm, &input, a, nb, nc);
+            let mid = fwd_mid(comm, input.clone(), a, nb, nc);
             // Check mid layout: (a, nb, cc_me) with axis-c offset sc.
             let (sc, cc) = slab(nc, p, me);
             for i0 in 0..a {
@@ -230,7 +244,7 @@ mod tests {
                     }
                 }
             }
-            let back = inv_mid(comm, &mid, a, nb, nc);
+            let back = inv_mid(comm, mid, a, nb, nc);
             assert_eq!(back, input);
         });
     }
@@ -251,7 +265,7 @@ mod tests {
                     }
                 }
             }
-            let spec = fwd_spec(comm, &input, na, nb, c);
+            let spec = fwd_spec(comm, input.clone(), na, nb, c);
             let (sb, cb) = slab(nb, p, me);
             for i0 in 0..na {
                 for i1 in 0..cb {
@@ -261,20 +275,26 @@ mod tests {
                     }
                 }
             }
-            let back = inv_spec(comm, &spec, na, nb, c);
+            let back = inv_spec(comm, spec, na, nb, c);
             assert_eq!(back, input);
         });
     }
 
+    /// On one rank all four transposes hand their input back as it is: the
+    /// same buffer, so nothing was packed, exchanged or unpacked.
     #[test]
-    fn single_rank_transposes_are_reshapes() {
+    fn single_rank_transposes_return_their_input() {
         use diffreg_comm::SerialComm;
         let comm = SerialComm::new();
-        let (a, nb, nc) = (2usize, 3usize, 4usize);
-        let input: Vec<Complex64> = (0..a * nb * nc).map(|i| tag(i as f64)).collect();
-        let mid = fwd_mid(&comm, &input, a, nb, nc);
-        assert_eq!(mid, input); // p = 1: identical layout
-        let back = inv_mid(&comm, &mid, a, nb, nc);
-        assert_eq!(back, input);
+        let (a, b, c) = (2usize, 3usize, 4usize);
+        let input: Vec<Complex64> = (0..a * b * c).map(|i| tag(i as f64)).collect();
+        let mut data = input.clone();
+        let p0 = data.as_ptr();
+        data = fwd_mid(&comm, data, a, b, c);
+        data = inv_mid(&comm, data, a, b, c);
+        data = fwd_spec(&comm, data, a, b, c);
+        data = inv_spec(&comm, data, a, b, c);
+        assert_eq!(data.as_ptr(), p0);
+        assert_eq!(data, input);
     }
 }

@@ -1,10 +1,13 @@
 //! Seeded property tests of the distributed FFT against the serial oracle
 //! and against analytic plane waves, over random grids, process layouts,
-//! and band-limited fields.
+//! and band-limited fields; and bitwise agreement of the r2c path across
+//! process grids.
+
+use std::collections::BTreeMap;
 
 use diffreg_comm::{run_threaded, Comm, SerialComm, Timers};
 use diffreg_grid::{Decomp, Grid, Layout, ScalarField};
-use diffreg_pfft::PencilFft;
+use diffreg_pfft::{PencilFft, SpectralPath};
 use diffreg_spectral::SerialSpectral;
 use diffreg_testkit::oracle::PlaneWave;
 use diffreg_testkit::prop_check;
@@ -134,6 +137,66 @@ fn translate_shifts_bandlimited_fields_exactly() {
         });
         for (a, b) in shifted.data().iter().zip(expect.data()) {
             assert!((a - b).abs() < 1e-9);
+        }
+    });
+}
+
+/// Every global half-spectrum bin of `forward_half`, and every grid value of
+/// `inverse_half` applied to it, as bit patterns, on a `p1 x p2` grid.
+#[allow(clippy::type_complexity)]
+fn half_transform_bits(
+    grid: Grid,
+    p1: usize,
+    p2: usize,
+    seed: u64,
+) -> (BTreeMap<[usize; 3], (u64, u64)>, BTreeMap<[usize; 3], u64>) {
+    let per_rank = run_threaded(p1 * p2, move |comm| {
+        let decomp = Decomp::with_process_grid(grid, p1, p2);
+        let plan = PencilFft::with_path(comm, decomp, SpectralPath::R2C);
+        let field = field_from_seed(&grid, plan.spatial_block(), seed);
+        let timers = Timers::new();
+        let spec = plan.forward_half(&field, &timers);
+        let back = plan.inverse_half(&spec, &timers);
+        let bins: Vec<_> = spec
+            .data
+            .iter()
+            .enumerate()
+            .map(|(l, z)| (spec.block.global_of_local(l), (z.re.to_bits(), z.im.to_bits())))
+            .collect();
+        let block = plan.spatial_block();
+        let values: Vec<_> = back
+            .data()
+            .iter()
+            .enumerate()
+            .map(|(l, v)| (block.global_of_local(l), v.to_bits()))
+            .collect();
+        (bins, values)
+    });
+    let mut bins = BTreeMap::new();
+    let mut values = BTreeMap::new();
+    for (b, v) in per_rank {
+        bins.extend(b);
+        values.extend(v);
+    }
+    (bins, values)
+}
+
+/// Each 1D line goes through the same engine operations however the
+/// pencils are cut, so the r2c forward and c2r inverse give bitwise the
+/// same value at every global bin and grid point on 1x1, 1x2 and 2x2
+/// process grids (odd, smooth and Bluestein extents included).
+#[test]
+fn half_transforms_are_bitwise_equal_across_process_grids() {
+    prop_check!(cases = 8, |rng| {
+        let extents = [6, 8, 9, 12, 16, 17];
+        let n = [0, 1, 2].map(|_| extents[rng.index(extents.len())]);
+        let seed = rng.next_u64() % 1000;
+        let grid = Grid::new(n);
+        let serial = half_transform_bits(grid, 1, 1, seed);
+        for (p1, p2) in [(1, 2), (2, 2)] {
+            let got = half_transform_bits(grid, p1, p2, seed);
+            assert!(got.0 == serial.0, "forward_half bins differ on {p1}x{p2}, n={n:?}");
+            assert!(got.1 == serial.1, "inverse_half values differ on {p1}x{p2}, n={n:?}");
         }
     });
 }

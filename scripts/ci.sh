@@ -26,21 +26,23 @@
 #      incident bundles, every bundle must pass `diffreg-doctor incident
 #      --gate`, and a second run must reproduce the bundles byte-for-byte
 #  11. perf-regression gate over the kernel suite (scripts/perf_gate.sh)
-#  12. static analysis: the in-tree analyzer must report zero new findings,
+#  12. end-to-end benchmark self-test: every workload's solve path (Bluestein
+#      included) at small size, exact count repeat, traced/untraced parity
+#  13. static analysis: the in-tree analyzer must report zero new findings,
 #      and its fixture + schedule-explorer suites must pass
-#  13. clippy clean under -D warnings (skipped if clippy is not installed)
-#  14. smoke-test the individual crates a distributed solve flows through
-#  15. fail if Cargo.lock ever acquires a registry (non-path) dependency
+#  14. clippy clean under -D warnings (skipped if clippy is not installed)
+#  15. smoke-test the individual crates a distributed solve flows through
+#  16. fail if Cargo.lock ever acquires a registry (non-path) dependency
 set -euo pipefail
 cd "$(dirname "$0")/.."
 
-echo "==> [1/15] cargo build --release --offline"
+echo "==> [1/16] cargo build --release --offline"
 cargo build --workspace --release --offline
 
-echo "==> [2/15] cargo test --offline (workspace, release)"
+echo "==> [2/16] cargo test --offline (workspace, release)"
 cargo test --workspace --release -q --offline
 
-echo "==> [3/15] kernel-overhaul parity tier (r2c / SoA / f32, release)"
+echo "==> [3/16] kernel-overhaul parity tier (r2c / SoA / f32, release)"
 # The fast defaults (half-spectrum r2c transforms, SoA tricubic, optional
 # f32 reductions) are pinned against the slow reference paths and the
 # analytic oracles: r2c roundtrip/operator parity, SoA bit-identity, the
@@ -56,20 +58,20 @@ DIFFREG_SPECTRAL=c2c DIFFREG_INTERP=scalar \
 DIFFREG_SPECTRAL=c2c DIFFREG_INTERP=scalar \
     cargo test -p diffreg-pfft --release -q --offline
 
-echo "==> [4/15] cargo test --offline (workspace, debug: contract checker on)"
+echo "==> [4/16] cargo test --offline (workspace, debug: contract checker on)"
 # Debug builds default the collective-ordering contract checker to ON
 # (debug_assertions); force it explicitly so the gate survives profile
 # tweaks. This continuously proves the whole solver stack is contract-clean.
 DIFFREG_COMM_CONTRACT=1 cargo test --workspace -q --offline
 
-echo "==> [5/15] chaos & resilience suites (fixed seeds)"
+echo "==> [5/16] chaos & resilience suites (fixed seeds)"
 # Fault-injection drills: seeded latency/reorder/stall/kill schedules, the
 # watchdog, rank-failure containment, and checkpoint/restart. The seeds are
 # fixed inside the tests, so this step is fully deterministic.
 cargo test -p diffreg-comm --release -q --offline --test chaos
 cargo test -p diffreg-core --release -q --offline --test resilience
 
-echo "==> [6/15] telemetry smoke (traced 4-rank 32^3 registration)"
+echo "==> [6/16] telemetry smoke (traced 4-rank 32^3 registration)"
 # Runs the end-to-end observability acceptance test at the release smoke
 # size: span tracing on, Chrome trace validated (one pid per rank, nested
 # fft/interp/transport/newton spans), rank-aggregated phase report with the
@@ -78,7 +80,7 @@ echo "==> [6/15] telemetry smoke (traced 4-rank 32^3 registration)"
 DIFFREG_TELEMETRY_SMOKE_SIZE=32 \
     cargo test -p diffreg-core --release -q --offline --test telemetry
 
-echo "==> [7/15] doctor smoke (trace bundle -> diffreg-doctor analyze --gate)"
+echo "==> [7/16] doctor smoke (trace bundle -> diffreg-doctor analyze --gate)"
 # The doctor acceptance test re-runs the traced 4-rank 32^3 registration with
 # comm-event recording on, checks matching/classification/critical-path
 # invariants in-memory, and (because DIFFREG_DOCTOR_DIR is set) writes the
@@ -94,7 +96,7 @@ cargo run -q -p diffreg-doctor --release --offline -- \
     > /dev/null
 echo "    doctor gate ok (report: target/doctor-smoke/doctor-report.txt)"
 
-echo "==> [8/15] serve smoke (chaos job-runtime campaign + doctor gate)"
+echo "==> [8/16] serve smoke (chaos job-runtime campaign + doctor gate)"
 # Registration-as-a-service drill: the small chaos campaign queues 32 jobs
 # on a 4-rank pool under seeded kills, stalls past the watchdog, and torn
 # checkpoint writes. Acceptance inside the test: zero lost jobs, recovered
@@ -116,7 +118,7 @@ echo "    serve doctor gate ok (report: target/serve-smoke/doctor-report.txt)"
 DIFFREG_SERVE_LOAD_JOBS=48 DIFFREG_SERVE_LOAD_GRID=16 \
     cargo test -p diffreg-serve --release -q --offline --test load -- --ignored
 
-echo "==> [9/15] live observability smoke (HTTP endpoints + doctor profile)"
+echo "==> [9/16] live observability smoke (HTTP endpoints + doctor profile)"
 # The live plane: a seeded 4-rank campaign with ServeConfig::http_addr on an
 # ephemeral loopback port is probed over raw std::net::TcpStream (no curl)
 # while jobs run — /healthz, parseable /metrics with serve_jobs_* counters
@@ -134,7 +136,7 @@ grep -q '^\[dropped\] ' target/serve-smoke/profile.folded || {
     exit 1; }
 echo "    live observability ok (endpoints probed live, smoke bundle profiled)"
 
-echo "==> [10/15] incident drill (chaos bundles -> diffreg-doctor incident --gate)"
+echo "==> [10/16] incident drill (chaos bundles -> diffreg-doctor incident --gate)"
 # The seeded incident drill runs the 4-rank chaos schedule twice into
 # DIFFREG_INCIDENT_DRILL_DIR. The test itself asserts trigger counts, culprit
 # attribution, SLO alert state, and byte-identical replay; this step then
@@ -166,13 +168,20 @@ for d in target/incident-drill/run1/incident-*; do
 done
 echo "    incident drill ok ($drill_count bundles gated, replay byte-identical)"
 
-echo "==> [11/15] perf-regression gate (kernel suite medians vs baseline)"
+echo "==> [11/16] perf-regression gate (kernel suite medians vs baseline)"
 # Full protocol: deterministic selftest, end-to-end proof that a 30%
 # synthetic slowdown trips the 25% gate, then a median-of-K comparison
 # against the checked-in BENCH_kernels.json (advisory across hosts).
 scripts/perf_gate.sh
 
-echo "==> [12/15] static analysis (in-tree analyzer: AST/CFG dataflow + schedule explorer)"
+echo "==> [12/16] end-to-end benchmark self-test (all workload paths, small sizes)"
+# The benchmark package builds against the crates from its own workspace.
+# Its self-test runs all three workload paths (the brain37 workload's prime
+# axis takes the Bluestein path) at 12^3-16^3 twice: the counts must repeat
+# exactly and the traced solve must match the untraced one bitwise.
+cargo test --release --offline --manifest-path e2ebench/Cargo.toml
+
+echo "==> [13/16] static analysis (in-tree analyzer: AST/CFG dataflow + schedule explorer)"
 # Hard gate: zero new findings against ANALYZER_BASELINE.txt (which is empty
 # since the v2 migration — every finding is either fixed or carries a
 # reasoned allow). The check runs under a wall-clock budget, its --json
@@ -219,14 +228,14 @@ cargo test -p diffreg-analyzer --release -q --offline
 # Advisory sanitizer pass (skips cleanly when toolchains are unavailable).
 scripts/sanitizers.sh || echo "    sanitizers advisory: non-zero exit tolerated"
 
-echo "==> [13/15] cargo clippy -- -D warnings"
+echo "==> [14/16] cargo clippy -- -D warnings"
 if cargo clippy --version >/dev/null 2>&1; then
     cargo clippy --workspace --all-targets --offline -- -D warnings
 else
     echo "    clippy not installed; skipping lint gate"
 fi
 
-echo "==> [14/15] per-crate smoke tests"
+echo "==> [15/16] per-crate smoke tests"
 for crate in diffreg-testkit diffreg-fft diffreg-comm diffreg-grid \
              diffreg-spectral diffreg-pfft diffreg-interp \
              diffreg-transport diffreg-optim diffreg-core \
@@ -236,7 +245,7 @@ for crate in diffreg-testkit diffreg-fft diffreg-comm diffreg-grid \
     echo "    $crate ok"
 done
 
-echo "==> [15/15] dependency audit (no external crates allowed)"
+echo "==> [16/16] dependency audit (no external crates allowed)"
 # Every package in Cargo.lock must be one of ours (path deps carry no
 # `source =` line; registry/git deps do).
 if grep -q '^source = ' Cargo.lock; then

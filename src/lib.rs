@@ -7,7 +7,7 @@
 //! This umbrella crate re-exports the whole stack and adds the
 //! [`session`] convenience layer used by the examples:
 //!
-//! * [`fft`] — serial FFT kernels (mixed-radix + Bluestein);
+//! * [`fft`] — serial FFT kernels (batched Stockham + Bluestein);
 //! * [`comm`] — the simulated MPI runtime (rank-per-thread SPMD);
 //! * [`grid`] — pencil decomposition, fields, ghost exchange;
 //! * [`spectral`] — operator symbols and the serial spectral toolbox;
