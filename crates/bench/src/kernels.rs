@@ -13,7 +13,7 @@
 use diffreg_comm::{SerialComm, Timers};
 use diffreg_core::{RegProblem, RegistrationConfig};
 use diffreg_grid::{Decomp, Grid, ScalarField, VectorField};
-use diffreg_interp::{ghosted, InterpMode, Kernel, ScatterPlan};
+use diffreg_interp::{ghosted, Kernel, ScatterPlan};
 use diffreg_optim::GaussNewtonProblem;
 use diffreg_pfft::{PencilFft, SpectralPath};
 use diffreg_telemetry::{
@@ -111,13 +111,6 @@ fn bench_interp(suite: &mut BenchSuite, warmup: usize, k: usize, sizes: &[usize]
                 plan.interpolate(&ctx.comm, &ghost, kernel, &timers);
             });
         }
-        // Reference-path record: the per-point scalar tricubic kernel the
-        // SoA default replaced (same plan inputs, forced scalar mode).
-        let scalar_plan =
-            ScatterPlan::build_with_mode(&ctx.comm, &decomp, &pts, InterpMode::Scalar, &timers);
-        push(suite, &format!("interpolation/Tricubic_scalar/{n}"), warmup, k, || {
-            scalar_plan.interpolate(&ctx.comm, &ghost, Kernel::Tricubic, &timers);
-        });
     }
 }
 

@@ -10,64 +10,46 @@
 //! results back, which the requester scatters into original point order.
 
 use diffreg_comm::{Comm, Timers};
-use diffreg_grid::{exchange_ghost, Decomp, GhostField, Grid, Layout, ScalarField};
+use diffreg_grid::{exchange_ghost, Decomp, GhostField, Layout, ScalarField};
 
 use crate::kernel::{base_and_frac, Kernel, GHOST_WIDTH};
-use crate::soa::{InterpMode, SoaStencils};
+use crate::soa::SoaStencils;
 
 /// A built communication plan for one set of departure points.
 #[derive(Debug, Clone)]
 pub struct ScatterPlan {
-    grid: Grid,
     /// Number of points this rank requested.
     n_local: usize,
-    /// For each local point: which rank owns it.
-    owner_of: Vec<usize>,
-    /// For each local point: its slot within the batch sent to its owner.
-    slot_of: Vec<usize>,
-    /// Points this rank must interpolate, grouped by requesting rank.
-    assigned: Vec<Vec<[f64; 3]>>,
-    /// Start of each assigned batch within the flattened SoA stencils.
+    /// For each owner rank: the local indices of the points sent to it, in
+    /// the order the owner returns their values.
+    routes: Vec<Vec<u32>>,
+    /// Start of each requesting rank's batch within `stencils`, plus the
+    /// total.
     batch_off: Vec<usize>,
-    /// Precomputed branch-free stencils over the flattened assigned points.
-    soa: SoaStencils,
-    /// Which tricubic loop `interpolate*` routes through.
-    mode: InterpMode,
+    /// Stencils of the points this rank interpolates, batches concatenated.
+    stencils: SoaStencils,
 }
 
 impl ScatterPlan {
-    /// Builds the plan (collective) on the evaluation mode selected by
-    /// `DIFFREG_INTERP`: routes `points` (physical coordinates, any values
-    /// — they are wrapped periodically) to their owner ranks.
+    /// Builds the plan (collective): routes `points` (physical coordinates,
+    /// any values — they are wrapped periodically) to their owner ranks.
     pub fn build<C: Comm>(
         comm: &C,
         decomp: &Decomp,
         points: &[[f64; 3]],
         timers: &Timers,
     ) -> Self {
-        Self::build_with_mode(comm, decomp, points, InterpMode::from_env(), timers)
-    }
-
-    /// Builds the plan (collective) with an explicit evaluation mode.
-    pub fn build_with_mode<C: Comm>(
-        comm: &C,
-        decomp: &Decomp,
-        points: &[[f64; 3]],
-        mode: InterpMode,
-        timers: &Timers,
-    ) -> Self {
         let _span = diffreg_telemetry::span("interp.plan");
         let grid = decomp.grid;
         let p = comm.size();
-        let mut owner_of = Vec::with_capacity(points.len());
-        let mut slot_of = Vec::with_capacity(points.len());
+        assert!(u32::try_from(points.len()).is_ok(), "more than 2^32 points on one rank");
+        let mut routes: Vec<Vec<u32>> = vec![Vec::new(); p];
         let mut outgoing: Vec<Vec<[f64; 3]>> = vec![Vec::new(); p];
-        for &x in points {
+        for (i, &x) in points.iter().enumerate() {
             let (b0, _) = base_and_frac(x[0], grid.n[0]);
             let (b1, _) = base_and_frac(x[1], grid.n[1]);
             let owner = decomp.owner_spatial([b0, b1, 0]);
-            owner_of.push(owner);
-            slot_of.push(outgoing[owner].len());
+            routes[owner].push(i as u32);
             outgoing[owner].push(x);
         }
         let assigned = timers.time("interp_comm", || {
@@ -92,19 +74,15 @@ impl ScatterPlan {
             off += pts.len();
         }
         batch_off.push(off);
-        let soa = timers.time("interp_exec", || {
+        let stencils = timers.time("interp_exec", || {
             let block = decomp.block(comm.rank(), Layout::Spatial);
             let origin = [
                 block.start[0] as isize - GHOST_WIDTH as isize,
                 block.start[1] as isize - GHOST_WIDTH as isize,
             ];
-            let mut flat = Vec::with_capacity(off);
-            for pts in &assigned {
-                flat.extend_from_slice(pts);
-            }
-            SoaStencils::build(&grid, origin, &flat)
+            SoaStencils::build(&grid, origin, &assigned)
         });
-        Self { grid, n_local: points.len(), owner_of, slot_of, assigned, batch_off, soa, mode }
+        Self { n_local: points.len(), routes, batch_off, stencils }
     }
 
     /// Number of points this rank requested.
@@ -119,16 +97,14 @@ impl ScatterPlan {
 
     /// Number of points this rank will interpolate for others (and itself).
     pub fn assigned_len(&self) -> usize {
-        self.assigned.iter().map(Vec::len).sum()
+        self.stencils.len()
     }
 
     /// Global fraction of requested points that had to be routed to another
     /// rank — the "leak" of the performance model's scatter term, and a
     /// direct measure of how far departure points travel (CFL-dependent).
     pub fn off_rank_fraction<C: Comm>(&self, comm: &C) -> f64 {
-        let me = comm.rank();
-        let mut counts =
-            [self.owner_of.iter().filter(|&&o| o != me).count(), self.n_local];
+        let mut counts = [self.n_local - self.routes[comm.rank()].len(), self.n_local];
         comm.allreduce_usize(&mut counts, diffreg_comm::ReduceOp::Sum);
         if counts[1] == 0 {
             0.0
@@ -153,28 +129,13 @@ impl ScatterPlan {
         let nf = ghosts.len();
         assert!(nf > 0, "need at least one field");
         // Owners evaluate; values interleaved per point: [f0, f1, ..] per point.
-        // The SoA fast path only exists for the tricubic kernel; trilinear
-        // stays on the scalar reference loop.
-        let use_soa = self.mode == InterpMode::Soa && kernel == Kernel::Tricubic;
         let values: Vec<Vec<f64>> = timers.time("interp_exec", || {
-            self.assigned
-                .iter()
-                .enumerate()
-                .map(|(batch, pts)| {
+            self.batch_off
+                .windows(2)
+                .map(|b| {
                     // diffreg-allow(alloc-in-hot-path): per-batch send buffers are moved into alltoallv — ownership transfer precludes arena pooling
-                    let mut vals = vec![0.0; pts.len() * nf];
-                    if use_soa {
-                        let (lo, hi) = (self.batch_off[batch], self.batch_off[batch + 1]);
-                        for (f, g) in ghosts.iter().enumerate() {
-                            self.soa.eval_strided(g, lo, hi, &mut vals, nf, f);
-                        }
-                    } else {
-                        for (i, &x) in pts.iter().enumerate() {
-                            for (f, g) in ghosts.iter().enumerate() {
-                                vals[i * nf + f] = kernel.eval(g, &self.grid, x);
-                            }
-                        }
-                    }
+                    let mut vals = vec![0.0; (b[1] - b[0]) * nf];
+                    self.stencils.eval(kernel, ghosts, b[0], b[1], &mut vals);
                     vals
                 })
                 // diffreg-allow(alloc-in-hot-path): collects the per-batch send buffers moved into alltoallv — ownership transfer precludes arena pooling
@@ -191,11 +152,11 @@ impl ScatterPlan {
         // Unscatter into original order.
         // diffreg-allow(alloc-in-hot-path): result buffers are returned to the caller — ownership transfer precludes arena pooling
         let mut out = vec![vec![0.0; self.n_local]; nf];
-        for i in 0..self.n_local {
-            let owner = self.owner_of[i];
-            let slot = self.slot_of[i];
-            for (f, o) in out.iter_mut().enumerate() {
-                o[i] = returned[owner][slot * nf + f];
+        for (route, vals) in self.routes.iter().zip(&returned) {
+            for (&i, v) in route.iter().zip(vals.chunks_exact(nf)) {
+                for (o, &x) in out.iter_mut().zip(v) {
+                    o[i as usize] = x;
+                }
             }
         }
         out
@@ -222,8 +183,9 @@ pub fn ghosted<C: Comm>(comm: &C, decomp: &Decomp, field: &ScalarField) -> Ghost
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::kernel::{tricubic, trilinear};
     use diffreg_comm::{run_threaded, SerialComm};
-    use diffreg_grid::Layout;
+    use diffreg_grid::{Grid, Layout};
     use std::f64::consts::TAU;
 
     fn probe(x: [f64; 3]) -> f64 {
@@ -344,29 +306,74 @@ mod tests {
         assert!(vals.is_empty());
     }
 
+    /// Fields with different magnitudes for the kernel oracle test.
+    const ORACLE_FIELDS: [fn([f64; 3]) -> f64; 4] = [
+        probe,
+        probe2,
+        |x| 3.0 * (x[0] + 2.0 * x[2]).cos() - 1.0,
+        |x| (x[0] * x[1]).cos() + 0.1 * x[2],
+    ];
+
     #[test]
-    fn soa_and_scalar_modes_are_bit_identical() {
-        let grid = Grid::new([12, 8, 6]);
-        let points = test_points(150);
-        run_threaded(4, move |comm| {
-            let d = Decomp::with_process_grid(grid, 2, 2);
-            let b = d.block(comm.rank(), Layout::Spatial);
-            let f1 = ScalarField::from_fn(&grid, b, probe);
-            let f2 = ScalarField::from_fn(&grid, b, probe2);
-            let g1 = ghosted(comm, &d, &f1);
-            let g2 = ghosted(comm, &d, &f2);
-            let timers = Timers::new();
-            let mine: Vec<[f64; 3]> =
-                points.iter().skip(comm.rank()).step_by(comm.size()).copied().collect();
-            let fast = ScatterPlan::build_with_mode(comm, &d, &mine, InterpMode::Soa, &timers);
-            let reference =
-                ScatterPlan::build_with_mode(comm, &d, &mine, InterpMode::Scalar, &timers);
-            for kernel in [Kernel::Tricubic, Kernel::Trilinear] {
-                let a = fast.interpolate_many(comm, &[&g1, &g2], kernel, &timers);
-                let b = reference.interpolate_many(comm, &[&g1, &g2], kernel, &timers);
-                assert_eq!(a, b, "modes diverged for {kernel:?}");
+    fn evaluation_matches_per_point_kernel() {
+        // The fused tricubic loop sums in its own order, so it agrees with
+        // the per-point kernel to |Δ| ≤ 1e-13·max|f|; trilinear keeps the
+        // kernel's order and must agree bitwise.
+        let cases = [([7, 5, 9], 1, 1), ([12, 8, 6], 1, 1), ([8, 8, 8], 2, 2), ([12, 8, 6], 2, 2)];
+        for (n, p1, p2) in cases {
+            let grid = Grid::new(n);
+            // Spread points, plus every wrapping axis-2 cell (base 0,
+            // n2 − 2, n2 − 1) for every axis-0 cell.
+            let h = grid.spacing();
+            let mut points = test_points(120);
+            for b0 in 0..n[0] {
+                for b2 in [0, n[2] - 2, n[2] - 1] {
+                    points.push([(b0 as f64 + 0.7) * h[0], 1.9, (b2 as f64 + 0.43) * h[2]]);
+                }
             }
-        });
+            let comm = SerialComm::new();
+            let d = Decomp::new(grid, 1);
+            let block = d.block(0, Layout::Spatial);
+            let serial: Vec<GhostField> = ORACLE_FIELDS
+                .iter()
+                .map(|f| ghosted(&comm, &d, &ScalarField::from_fn(&grid, block, f)))
+                .collect();
+            let max_abs = |g: &GhostField| g.data().iter().fold(0.0f64, |m, v| m.max(v.abs()));
+            let scale: Vec<f64> = serial.iter().map(max_abs).collect();
+            let reference = |k: fn(&GhostField, &Grid, [f64; 3]) -> f64| -> Vec<Vec<f64>> {
+                serial.iter().map(|g| points.iter().map(|&x| k(g, &grid, x)).collect()).collect()
+            };
+            let (want_cubic, want_lin) = (reference(tricubic), reference(trilinear));
+            let pts = points.clone();
+            run_threaded(p1 * p2, move |comm| {
+                let d = Decomp::with_process_grid(grid, p1, p2);
+                let b = d.block(comm.rank(), Layout::Spatial);
+                let ghosts: Vec<GhostField> = ORACLE_FIELDS
+                    .iter()
+                    .map(|f| ghosted(comm, &d, &ScalarField::from_fn(&grid, b, f)))
+                    .collect();
+                let mine: Vec<usize> = (comm.rank()..pts.len()).step_by(comm.size()).collect();
+                let xs: Vec<[f64; 3]> = mine.iter().map(|&i| pts[i]).collect();
+                let timers = Timers::new();
+                let plan = ScatterPlan::build(comm, &d, &xs, &timers);
+                for nf in 1..=4 {
+                    let refs: Vec<&GhostField> = ghosts[..nf].iter().collect();
+                    let cubic = plan.interpolate_many(comm, &refs, Kernel::Tricubic, &timers);
+                    let lin = plan.interpolate_many(comm, &refs, Kernel::Trilinear, &timers);
+                    for f in 0..nf {
+                        for (q, &i) in mine.iter().enumerate() {
+                            let diff = (cubic[f][q] - want_cubic[f][i]).abs();
+                            assert!(
+                                diff <= 1e-13 * scale[f],
+                                "{n:?} on {p1}x{p2}, nf={nf}, field {f} at {:?}: {diff:e}",
+                                pts[i]
+                            );
+                            assert_eq!(lin[f][q], want_lin[f][i], "trilinear at {:?}", pts[i]);
+                        }
+                    }
+                }
+            });
+        }
     }
 
     #[test]

@@ -169,25 +169,23 @@ impl SemiLagrangian {
             let (g0, g1, g2) = (g.comps[0].data(), g.comps[1].data(), g.comps[2].data());
             (0..nloc).map(|l| -(vt0[l] * g0[l] + vt1[l] * g1[l] + vt2[l] * g2[l])).collect()
         };
+        let half_dt = 0.5 * self.dt;
         let mut hist = Vec::with_capacity(self.nt + 1);
         hist.push(ScalarField::zeros(block));
         let mut f_cur = source(0);
         for i in 0..self.nt {
-            // Batched interpolation of ρ̃ and f_i at the departure points.
+            // Interpolation is linear, so ρ̃(X) + δt/2·f_i(X) is the
+            // interpolant of the one field ρ̃ + δt/2·f_i, built in place in
+            // the source buffer.
             // diffreg-allow(no-unwrap-in-lib): hist is seeded with the zero field before the loop, so last() is always Some
-            let g_rho = ghosted(ws.comm, ws.decomp, hist.last().unwrap());
-            let f_field = ScalarField::from_vec(block, f_cur);
-            let g_f = ghosted(ws.comm, ws.decomp, &f_field);
-            let interp =
-                self.fwd.plan.interpolate_many(ws.comm, &[&g_rho, &g_f], ws.kernel, ws.timers);
+            let rho = hist.last().unwrap().data();
+            for (c, &r) in f_cur.iter_mut().zip(rho) {
+                *c = r + half_dt * *c;
+            }
+            let g = ghosted(ws.comm, ws.decomp, &ScalarField::from_vec(block, f_cur));
+            let at_x = self.fwd.plan.interpolate(ws.comm, &g, ws.kernel, ws.timers);
             let f_next = source(i + 1);
-            let half_dt = 0.5 * self.dt;
-            let out = interp[0]
-                .iter()
-                .zip(&interp[1])
-                .zip(&f_next)
-                .map(|((&r, &fx), &fn_)| r + half_dt * (fx + fn_))
-                .collect();
+            let out = at_x.iter().zip(&f_next).map(|(&c, &fn_)| c + half_dt * fn_).collect();
             hist.push(ScalarField::from_vec(block, out));
             f_cur = f_next;
         }
@@ -410,6 +408,59 @@ mod tests {
                 scale = scale.max(fd.abs());
             }
             assert!(err < 0.02 * scale.max(1.0), "linearization error {err} (scale {scale})");
+        });
+    }
+
+    #[test]
+    fn combined_field_incremental_state_matches_two_field_reference() {
+        let grid = Grid::cubic(16);
+        with_serial_ws(grid, |ws| {
+            let v = VectorField::from_fn(&grid, ws.block(), |x| {
+                [x[1].sin() * 0.4, x[0].cos() * 0.4, 0.2 * x[2].sin()]
+            });
+            let vt = VectorField::from_fn(&grid, ws.block(), |x| {
+                [0.3 * x[2].cos(), 0.2 * (x[0] + x[1]).sin(), -0.1 * x[1].cos()]
+            });
+            let rho0 = ScalarField::from_fn(&grid, ws.block(), |x| {
+                x[0].sin() * x[1].cos() + 0.3 * x[2].sin()
+            });
+            let nt = 4;
+            let sl = SemiLagrangian::new(ws, &v, nt);
+            let grads: Vec<VectorField> =
+                sl.solve_state(ws, &rho0).iter().map(|r| ws.fft.gradient(r, ws.timers)).collect();
+            let got = sl.solve_incremental_state_history(ws, &vt, &grads);
+
+            // Reference RK2 step: interpolate ρ̃ and f_i as two fields, then
+            // combine at the departure points.
+            let source = |i: usize| {
+                let mut f = ScalarField::zeros(ws.block());
+                for (a, g) in vt.comps.iter().zip(&grads[i].comps) {
+                    for ((o, &va), &ga) in f.data_mut().iter_mut().zip(a.data()).zip(g.data()) {
+                        *o -= va * ga;
+                    }
+                }
+                f
+            };
+            let half_dt = 0.5 / nt as f64;
+            let mut rho = ScalarField::zeros(ws.block());
+            for (i, got_i) in got.iter().enumerate().skip(1) {
+                let g_rho = ghosted(ws.comm, ws.decomp, &rho);
+                let g_f = ghosted(ws.comm, ws.decomp, &source(i - 1));
+                let both =
+                    sl.fwd.plan.interpolate_many(ws.comm, &[&g_rho, &g_f], ws.kernel, ws.timers);
+                let f_next = source(i);
+                let next: Vec<f64> = (0..rho.local_len())
+                    .map(|l| both[0][l] + half_dt * (both[1][l] + f_next.data()[l]))
+                    .collect();
+                rho = ScalarField::from_vec(ws.block(), next);
+                let scale = rho.data().iter().fold(0.0f64, |m, v| m.max(v.abs()));
+                let err = rho
+                    .data()
+                    .iter()
+                    .zip(got_i.data())
+                    .fold(0.0f64, |m, (a, b)| m.max((a - b).abs()));
+                assert!(scale > 0.0 && err <= 1e-12 * scale, "step {i}: {err:e} (scale {scale})");
+            }
         });
     }
 

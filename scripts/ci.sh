@@ -42,21 +42,20 @@ cargo build --workspace --release --offline
 echo "==> [2/16] cargo test --offline (workspace, release)"
 cargo test --workspace --release -q --offline
 
-echo "==> [3/16] kernel-overhaul parity tier (r2c / SoA / f32, release)"
-# The fast defaults (half-spectrum r2c transforms, SoA tricubic, optional
-# f32 reductions) are pinned against the slow reference paths and the
-# analytic oracles: r2c roundtrip/operator parity, SoA bit-identity, the
-# f32 GaussianPair tolerance tier, and the warm-arena zero-allocation
-# check. Then the whole core oracle tier re-runs with the reference paths
-# forced, proving both sides of every config switch stay green.
+echo "==> [3/16] kernel-overhaul parity tier (r2c / f32, release)"
+# The fast defaults (half-spectrum r2c transforms, optional f32
+# reductions) are pinned against the slow reference paths and the
+# analytic oracles: r2c roundtrip/operator parity, the f32 GaussianPair
+# tolerance tier, and the warm-arena zero-allocation check. Then the
+# whole core oracle tier re-runs with the c2c spectral path forced,
+# proving both sides of that config switch stay green. Interpolation has
+# one path; its per-point kernel oracle runs in the interp unit tests.
 cargo test -p diffreg-fft --release -q --offline
 cargo test -p diffreg-pfft --release -q --offline --test r2c_parity
 cargo test -p diffreg-core --release -q --offline --test precision
 cargo test -p diffreg-core --release -q --offline --test zero_alloc
-DIFFREG_SPECTRAL=c2c DIFFREG_INTERP=scalar \
-    cargo test -p diffreg-core --release -q --offline
-DIFFREG_SPECTRAL=c2c DIFFREG_INTERP=scalar \
-    cargo test -p diffreg-pfft --release -q --offline
+DIFFREG_SPECTRAL=c2c cargo test -p diffreg-core --release -q --offline
+DIFFREG_SPECTRAL=c2c cargo test -p diffreg-pfft --release -q --offline
 
 echo "==> [4/16] cargo test --offline (workspace, debug: contract checker on)"
 # Debug builds default the collective-ordering contract checker to ON
