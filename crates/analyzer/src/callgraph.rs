@@ -114,6 +114,8 @@ pub struct FnInfo {
     pub in_test: bool,
     /// 1-based line of the `fn` keyword.
     pub line: usize,
+    /// Self type of the enclosing `impl` block, if any.
+    pub owner: Option<String>,
     /// All call sites in the body.
     pub calls: Vec<CallSite>,
     /// Telemetry span labels opened in the body (`span("...")`).
@@ -140,6 +142,8 @@ pub struct CallGraph {
     /// All function summaries.
     pub fns: Vec<FnInfo>,
     by_name: HashMap<String, Vec<usize>>,
+    /// Struct, enum and trait names declared anywhere in the workspace.
+    types: HashSet<String>,
     /// Hot-set membership: fn index → root span label.
     pub hot: HashMap<usize, String>,
     /// All collective-consistency findings, computed at build time.
@@ -171,7 +175,9 @@ impl CallGraph {
     /// crate name.
     pub fn build(files: &[(String, Option<String>, &FileAst)]) -> CallGraph {
         let mut fns = Vec::new();
+        let mut types = HashSet::new();
         for (path, crate_name, ast) in files {
+            types.extend(ast.types.iter().cloned());
             for f in &ast.fns {
                 let mut calls = Vec::new();
                 let mut spans = Vec::new();
@@ -184,6 +190,7 @@ impl CallGraph {
                     is_pub: f.is_pub,
                     in_test: f.in_test,
                     line: f.line,
+                    owner: f.owner.clone(),
                     calls,
                     spans,
                     effs,
@@ -194,7 +201,8 @@ impl CallGraph {
         for (i, f) in fns.iter().enumerate() {
             by_name.entry(f.name.clone()).or_default().push(i);
         }
-        let mut g = CallGraph { fns, by_name, hot: HashMap::new(), consistency: Vec::new() };
+        let mut g =
+            CallGraph { fns, by_name, types, hot: HashMap::new(), consistency: Vec::new() };
         g.compute_hot_set();
         g.check_consistency();
         g
@@ -204,14 +212,26 @@ impl CallGraph {
     /// function, preferring same-file then same-crate candidates. Ambiguous
     /// common names resolve to `None`.
     pub fn resolve(&self, name: &str, qual: Option<&str>, from: usize) -> Option<usize> {
+        if qual.is_some_and(|q| self.is_foreign_type(q)) {
+            return None;
+        }
         let cands = self.by_name.get(name)?;
         let from_path = &self.fns[from].path;
         let from_crate = &self.fns[from].crate_name;
-        // Qualifier filter: `mod::f()` must come from a file path mentioning
-        // the qualifier (e.g. `solvers::step` → .../solvers.rs). Type
-        // qualifiers (`Vec::new`) simply fail the filter and fall through to
-        // the unqualified logic below.
+        // Qualifier filter: `Type::f()` (or `Self::f()`) on a workspace type
+        // must come from an `impl` of that type; `mod::f()` from a file
+        // path mentioning the qualifier (e.g. `solvers::step` →
+        // .../solvers.rs). A qualifier that fails its filter falls through
+        // to the unqualified logic.
         let filtered: Vec<usize> = match qual {
+            Some(q) if is_type_name(q) => {
+                let ty = if q == "Self" { self.fns[from].owner.as_deref() } else { Some(q) };
+                cands
+                    .iter()
+                    .copied()
+                    .filter(|&i| ty.is_some() && self.fns[i].owner.as_deref() == ty)
+                    .collect()
+            }
             Some(q) => {
                 let seg = format!("/{q}.rs");
                 let segd = format!("/{q}/");
@@ -246,6 +266,11 @@ impl CallGraph {
             return Some(same_crate[0]);
         }
         None
+    }
+
+    /// Is `q` a type name (not `Self`) that no workspace file declares?
+    fn is_foreign_type(&self, q: &str) -> bool {
+        is_type_name(q) && q != "Self" && !self.types.contains(q)
     }
 
     /// Index of the function defined in `path` whose `fn` keyword is on
@@ -350,6 +375,9 @@ impl CallGraph {
                             // strip ownership so they are not re-flagged here.
                             out.extend(spliced.into_iter().map(strip_site));
                         }
+                        // `Vec::new()`, `String::from(..)`: a type the
+                        // workspace does not declare is outside the graph.
+                        None if qual.as_deref().is_some_and(|q| self.is_foreign_type(q)) => {}
                         None => {
                             // Unknown call: if the bare name is in the graph
                             // but ambiguous with differing footprints it
@@ -397,6 +425,12 @@ impl CallGraph {
         }
         out
     }
+}
+
+/// Path segments naming types start upper-case (`Vec`, `Self`); modules
+/// are snake_case.
+fn is_type_name(q: &str) -> bool {
+    q.starts_with(|c: char| c.is_ascii_uppercase())
 }
 
 fn strip_site(n: RNode) -> RNode {

@@ -150,6 +150,9 @@ pub struct FnDef {
     pub line: usize,
     /// 1-based line of the body's closing brace.
     pub end_line: usize,
+    /// Self type of the enclosing `impl` block (`PencilFft` for a method
+    /// in `impl<C: Comm> PencilFft<C>`), if any.
+    pub owner: Option<String>,
     /// Lowered body events.
     pub body: Vec<Node>,
 }
@@ -159,6 +162,8 @@ pub struct FnDef {
 pub struct FileAst {
     /// The functions (nested fns appear as their own entries).
     pub fns: Vec<FnDef>,
+    /// Names of the structs, enums and traits the file declares.
+    pub types: Vec<String>,
 }
 
 impl FileAst {
@@ -176,6 +181,7 @@ impl FileAst {
 pub fn parse_file(f: &SourceFile) -> FileAst {
     let mut fns = Vec::new();
     let code = &f.code;
+    let impls = impl_blocks(f);
     for i in 0..code.len() {
         let tok = &f.tokens[code[i]];
         if !(tok.kind == TokenKind::Ident && tok.text == "fn") {
@@ -218,10 +224,73 @@ pub fn parse_file(f: &SourceFile) -> FileAst {
             in_test: f.is_test_token(code[i]),
             line: tok.line,
             end_line,
+            owner: impls
+                .iter()
+                .filter(|(open, close, _)| *open < i && i < *close)
+                .min_by_key(|(open, close, _)| close - open)
+                .map(|(_, _, ty)| ty.clone()),
             body,
         });
     }
-    FileAst { fns }
+    let types = (1..code.len())
+        .filter(|&i| {
+            let kw = &f.tokens[code[i - 1]];
+            ["struct", "enum", "trait"].iter().any(|k| kw.is_ident(k))
+                && f.tokens[code[i]].kind == TokenKind::Ident
+        })
+        .map(|i| f.tokens[code[i]].text.clone())
+        .collect();
+    FileAst { fns, types }
+}
+
+/// Every `impl` item of the file as `(open, close, self type)`: the code
+/// positions of its body braces and the last identifier of the implemented
+/// type's path (`Debug for PencilFft<C>` → `PencilFft`). `impl Trait` in
+/// argument or return position is not an item and is skipped.
+fn impl_blocks(f: &SourceFile) -> Vec<(usize, usize, String)> {
+    let code = &f.code;
+    let tok = |k: usize| &f.tokens[code[k]];
+    let mut out = Vec::new();
+    for i in 0..code.len() {
+        let item_start = i == 0 || ["}", ";", "{", "]"].iter().any(|p| tok(i - 1).is_punct(p));
+        if !tok(i).is_ident("impl") || !item_start {
+            continue;
+        }
+        // Header: up to the body `{` at angle depth 0; the self type is
+        // the last identifier at depth 0 (after `for` when present).
+        let (mut j, mut angle, mut ty) = (i + 1, 0isize, None);
+        while j < code.len() {
+            let t = tok(j);
+            match t.text.as_str() {
+                "<" if t.kind == TokenKind::Punct => angle += 1,
+                ">" if t.kind == TokenKind::Punct => angle -= 1,
+                ">>" if t.kind == TokenKind::Punct => angle -= 2,
+                "{" | "where" if angle == 0 => break,
+                "for" | "dyn" | "mut" => {}
+                _ if angle == 0 && t.kind == TokenKind::Ident => ty = Some(t.text.clone()),
+                _ => {}
+            }
+            j += 1;
+        }
+        while j < code.len() && !tok(j).is_punct("{") {
+            j += 1; // over a `where` clause
+        }
+        let (Some(ty), open) = (ty, j) else { continue };
+        let mut depth = 0usize;
+        while j < code.len() {
+            if tok(j).is_punct("{") {
+                depth += 1;
+            } else if tok(j).is_punct("}") {
+                depth -= 1;
+                if depth == 0 {
+                    break;
+                }
+            }
+            j += 1;
+        }
+        out.push((open, j, ty));
+    }
+    out
 }
 
 /// Is the `fn` keyword at code position `i` preceded by a plain `pub`
@@ -1233,5 +1302,26 @@ mod tests {
             })
         }
         assert!(has_closure(&f.body));
+    }
+
+    #[test]
+    fn impl_self_types_and_declared_types() {
+        let a = ast(
+            "pub struct Plan<C> { c: C }\n\
+             enum Mode { A }\n\
+             impl<C: Comm> Plan<C> {\n\
+                 fn new(c: C) -> Self { Self { c } }\n\
+             }\n\
+             impl<C: Comm> std::fmt::Debug for Plan<C> where C: Clone {\n\
+                 fn fmt(&self) {}\n\
+             }\n\
+             fn free(f: impl Fn() -> Mode) -> impl Iterator<Item = u8> { f(); }\n",
+        );
+        let owners: Vec<_> = a.fns.iter().map(|f| (f.name.as_str(), f.owner.as_deref())).collect();
+        assert_eq!(
+            owners,
+            vec![("new", Some("Plan")), ("fmt", Some("Plan")), ("free", None)]
+        );
+        assert_eq!(a.types, vec!["Plan", "Mode"]);
     }
 }

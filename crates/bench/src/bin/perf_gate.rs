@@ -472,10 +472,8 @@ fn selftest() -> ExitCode {
         let mut s = BenchSuite::new("kernels");
         s.host = "selftest".into();
         for (name, base) in [
-            ("fft3d/forward/32", 1.0e-3),
             ("fft3d/forward_r2c/32", 6.0e-4),
             ("fft3d/gradient/32", 4.5e-3),
-            ("fft3d/gradient_c2c/32", 9.0e-3),
             ("interpolation/Tricubic/32", 1.0e-3),
             ("interpolation/Trilinear/32", 1.6e-3),
             ("solver/hessian_matvec/16", 2.0e-2),
@@ -592,7 +590,7 @@ fn selftest() -> ExitCode {
     }
     let history = vec![entry(1.0, 1.0), entry(1.0, 3.0), entry(1.2, 1.0)];
     let report = trend_report(&history);
-    let fft_line = report.iter().find(|l| l.contains("fft3d/forward/32"));
+    let fft_line = report.iter().find(|l| l.contains("fft3d/forward_r2c/32"));
     match fft_line {
         // 1.0 → 1.2 scaling on every sample moves the median +20%.
         Some(l) if l.contains("2 runs") && l.contains("drift +20.0%") => {}

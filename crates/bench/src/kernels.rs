@@ -15,7 +15,7 @@ use diffreg_core::{RegProblem, RegistrationConfig};
 use diffreg_grid::{Decomp, Grid, ScalarField, VectorField};
 use diffreg_interp::{ghosted, Kernel, ScatterPlan};
 use diffreg_optim::GaussNewtonProblem;
-use diffreg_pfft::{PencilFft, SpectralPath};
+use diffreg_pfft::PencilFft;
 use diffreg_telemetry::{
     record_event, recorder_enabled, set_recorder_enabled, take_recorder, BenchRecord,
     BenchSuite, RecKind,
@@ -56,32 +56,15 @@ fn bench_fft(suite: &mut BenchSuite, warmup: usize, k: usize, sizes: &[usize]) {
         let field = ScalarField::from_fn(&ctx.grid, fft.spatial_block(), |x| {
             x[0].sin() + x[1].cos() * x[2].sin()
         });
-        push(suite, &format!("fft3d/forward/{n}"), warmup, k, || {
-            fft.forward(&field, &timers);
-        });
-        let spec = fft.forward(&field, &timers);
-        push(suite, &format!("fft3d/inverse/{n}"), warmup, k, || {
-            fft.inverse(&spec, &timers);
-        });
         push(suite, &format!("fft3d/gradient/{n}"), warmup, k, || {
             fft.gradient(&field, &timers);
         });
-        // Explicit half-spectrum (r2c) transform records: the public
-        // forward/inverse above keep the full c2c layout, so the r2c wins
-        // only show up in the operator records unless pinned here.
         push(suite, &format!("fft3d/forward_r2c/{n}"), warmup, k, || {
-            fft.forward_half(&field, &timers);
+            fft.forward(&field, &timers);
         });
-        let half = fft.forward_half(&field, &timers);
+        let spec = fft.forward(&field, &timers);
         push(suite, &format!("fft3d/inverse_r2c/{n}"), warmup, k, || {
-            fft.inverse_half(&half, &timers);
-        });
-        // Reference-path record: the c2c gradient the r2c default replaced.
-        // Tracking both makes the half-spectrum speedup visible inside one
-        // suite instead of only across baseline generations.
-        let fft_c2c = PencilFft::with_path(&ctx.comm, ctx.decomp, SpectralPath::C2C);
-        push(suite, &format!("fft3d/gradient_c2c/{n}"), warmup, k, || {
-            fft_c2c.gradient(&field, &timers);
+            fft.inverse(&spec, &timers);
         });
     }
 }

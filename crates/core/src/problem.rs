@@ -60,7 +60,7 @@ impl<'a, C: Comm> RegProblem<'a, C> {
         } else {
             (rho_t.clone(), rho_r.clone())
         };
-        let ops = FieldOps::with_precision(ws.comm, ws.grid(), cfg.precision);
+        let ops = FieldOps::new(ws.comm, ws.grid());
         Self { ws, cfg, rho_t, rho_r, ops, lin: None, hessian_matvecs: 0 }
     }
 
@@ -83,7 +83,7 @@ impl<'a, C: Comm> RegProblem<'a, C> {
     pub fn initial_data_term(&self) -> f64 {
         let mut r = self.rho_t.clone();
         r.axpy(-1.0, &self.rho_r);
-        0.5 * r.inner_p(&r, &self.ws.grid(), self.ws.comm, self.cfg.precision)
+        0.5 * r.inner(&r, &self.ws.grid(), self.ws.comm)
     }
 
     /// Applies the projection `P` (Leray when incompressible, identity
@@ -99,7 +99,7 @@ impl<'a, C: Comm> RegProblem<'a, C> {
     /// Regularization energy `β/2 ⟨(-Δ)^m v, v⟩`.
     fn reg_energy(&self, v: &VectorField) -> f64 {
         let av = self.ws.fft.regularization(v, self.cfg.reg, self.cfg.beta, self.ws.timers);
-        0.5 * av.inner_p(v, &self.ws.grid(), self.ws.comm, self.cfg.precision)
+        0.5 * av.inner(v, &self.ws.grid(), self.ws.comm)
     }
 
     /// Data term `1/2 ||ρ(1) − ρ_R||²` for a given velocity, using only the
@@ -113,13 +113,7 @@ impl<'a, C: Comm> RegProblem<'a, C> {
             let vals = traj.plan.interpolate(self.ws.comm, &g, self.ws.kernel, self.ws.timers);
             rho = ScalarField::from_vec(rho.block(), vals);
         }
-        self.cfg.distance.evaluate_p(
-            &rho,
-            &self.rho_r,
-            &self.ws.grid(),
-            self.ws.comm,
-            self.cfg.precision,
-        )
+        self.cfg.distance.evaluate(&rho, &self.rho_r, &self.ws.grid(), self.ws.comm)
     }
 
     /// Trapezoidal time integral `∫ λ(t) ∇ρ(t) dt` (the field `b` of the
@@ -178,8 +172,7 @@ impl<'a, C: Comm> GaussNewtonProblem for RegProblem<'a, C> {
         let rho1 = state.last().unwrap().clone();
 
         // Objective.
-        let jdata =
-            self.cfg.distance.evaluate_p(&rho1, &self.rho_r, &ws.grid(), ws.comm, self.cfg.precision);
+        let jdata = self.cfg.distance.evaluate(&rho1, &self.rho_r, &ws.grid(), ws.comm);
         let j = jdata + self.reg_energy(v);
 
         // Adjoint solve with the measure's terminal condition

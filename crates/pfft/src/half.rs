@@ -1,12 +1,12 @@
-//! Distributed Hermitian half-spectrum coefficients (the r2c fast path).
+//! Distributed Hermitian half-spectrum coefficients.
 //!
 //! All solver fields are real, so the full spectrum satisfies
 //! `X[-k] = conj(X[k])` and only axis-2 bins `0..=n2/2` need to be stored.
 //! The half-spectrum layout mirrors [`diffreg_grid::Layout::Spectral`]
 //! with the axis-2 extent replaced by `n2/2 + 1`: axis 0 full, axis 1
 //! split over `p1`, halved axis 2 split over `p2`. Every transpose moves
-//! roughly half the bytes of the c2c path and every diagonal operator
-//! touches half the bins.
+//! roughly half the bytes of a full complex transform and every diagonal
+//! operator touches half the bins.
 //!
 //! Applying a Fourier multiplier `s(k)` to the stored bins is valid
 //! whenever `s(-k) = conj(s(k))`: the implied conjugate bin then receives
@@ -14,8 +14,8 @@
 //! operator would have produced. That covers every symbol the solver uses:
 //! real even symbols (Laplacian powers, Gaussian, regularization,
 //! preconditioner), the odd imaginary derivative `i k` (Nyquist rows
-//! zeroed by `wavenumber_deriv`, as on the c2c path), the Leray projector,
-//! and the translation phase `exp(-i k·s)`.
+//! zeroed by `wavenumber_deriv`, as in the serial oracle), the Leray
+//! projector, and the translation phase `exp(-i k·s)`.
 
 use diffreg_fft::{half_len, Complex64};
 use diffreg_grid::{slab, Block, Decomp, Grid};
@@ -35,7 +35,8 @@ pub struct HalfSpectralField {
 
 /// The half-spectrum block owned by `rank`: axis 0 full, axis 1 split over
 /// `p1` (column coordinate), halved axis 2 split over `p2` (row
-/// coordinate) — the r2c mirror of [`diffreg_grid::Layout::Spectral`].
+/// coordinate) — the half-spectrum mirror of
+/// [`diffreg_grid::Layout::Spectral`].
 pub fn half_spectral_block(decomp: &Decomp, rank: usize) -> Block {
     let n = decomp.grid.n;
     let n2h = half_len(n[2]);
@@ -51,11 +52,11 @@ impl HalfSpectralField {
         Self { grid, block, data: vec![Complex64::ZERO; block.len()] }
     }
 
-    /// Applies `f(coef, k, k2)` to every owned bin — same contract as
-    /// [`crate::SpectralField::map_bins`]: `k` is the signed wavenumber
-    /// triple with Nyquist zeroed, `k2` the unzeroed `|k|²`. Axis-2 global
-    /// indices never exceed `n2/2`, so the stored wavenumbers are the
-    /// non-negative half.
+    /// Applies `f(coef, k, k2)` to every owned bin, where `k` is the
+    /// signed wavenumber triple (with Nyquist zeroed, suitable for odd
+    /// derivatives) and `k2` the *unzeroed* `|k|²`. Axis-2 global indices
+    /// never exceed `n2/2`, so the stored wavenumbers are the non-negative
+    /// half.
     pub fn map_bins(&mut self, mut f: impl FnMut(Complex64, [f64; 3], f64) -> Complex64) {
         let n = self.grid.n;
         let [c0, c1, c2] = self.block.count;
@@ -93,7 +94,8 @@ impl HalfSpectralField {
         self.map_bins(|z, k, _| Complex64::new(-k[axis] * z.im, k[axis] * z.re));
     }
 
-    /// Applies the translation phase `exp(-i k·s)`.
+    /// Applies the translation phase `exp(-i k·s)`, so the inverse transform
+    /// yields `f(x - s)` (used by the rigid-baseline registration).
     pub fn phase_shift(&mut self, s: [f64; 3]) {
         self.map_bins(|z, k, _| z * Complex64::cis(-(k[0] * s[0] + k[1] * s[1] + k[2] * s[2])));
     }
@@ -108,8 +110,8 @@ impl HalfSpectralField {
 }
 
 /// Leray projection `v̂ -= k (k·v̂)/|k|²` in place on three half-spectrum
-/// components (zero mode untouched) — the r2c mirror of
-/// [`crate::leray_project`].
+/// components (zero mode untouched), eliminating the incompressibility
+/// constraint (paper eq. 4).
 pub fn leray_project_half(v: &mut [HalfSpectralField; 3]) {
     let grid = v[0].grid;
     let block = v[0].block;

@@ -1,10 +1,12 @@
 //! The distributed 3D FFT plan and the spectral operators built on it.
 //!
-//! Forward sequence (paper Fig. 4): local FFT along axis 2 in the spatial
-//! layout, alltoallv transpose within the row group to the mid layout, FFT
-//! along axis 1, transpose within the column group to the spectral layout,
-//! FFT along axis 0. Diagonal operators act on the spectral layout; the
-//! inverse retraces the steps.
+//! Forward sequence (paper Fig. 4): local r2c FFT along axis 2 in the
+//! spatial layout, keeping the Hermitian half-spectrum (axis-2 bins
+//! `0..=n2/2`), alltoallv transpose within the row group to the mid
+//! layout, FFT along axis 1, transpose within the column group to the
+//! spectral layout, FFT along axis 0. Diagonal operators act on the
+//! half-spectrum block; the inverse retraces the steps and ends with a c2r
+//! transform along axis 2.
 //!
 //! Every 1D step runs whole pencils through the batched engine in place:
 //! each `i0` slab of the mid layout is one `[n1][c2]` batch of axis-1
@@ -17,41 +19,12 @@
 //! `"fft_exec"`.
 
 use diffreg_comm::{Comm, Timers};
-use diffreg_fft::{
-    half_len, transform_columns, transform_rows, Complex64, Direction, Fft1d, FftScratch,
-    RealFft1d,
-};
+use diffreg_fft::{half_len, transform_columns, Complex64, Direction, Fft1d, FftScratch, RealFft1d};
 use diffreg_grid::{Decomp, Grid, Layout, ScalarField, VectorField};
 use diffreg_spectral::RegOrder;
 
 use crate::half::{half_spectral_block, leray_project_half, HalfSpectralField};
-use crate::spectral_field::{leray_project, SpectralField};
 use crate::transpose::{fwd_mid, fwd_spec, inv_mid, inv_spec};
-
-/// Which transform the plan's high-level operators route through.
-///
-/// The c2c path is the differential-testing reference; the r2c path stores
-/// only the Hermitian half-spectrum (axis-2 bins `0..=n2/2`), halving the
-/// 1D-transform flops along axis 2 and the bytes of every alltoallv
-/// transpose. Selected per-plan, or globally via `DIFFREG_SPECTRAL`.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Default)]
-pub enum SpectralPath {
-    /// Full complex spectrum (reference path).
-    C2C,
-    /// Hermitian half-spectrum (fast path, default).
-    #[default]
-    R2C,
-}
-
-impl SpectralPath {
-    /// Reads `DIFFREG_SPECTRAL` (`c2c` or `r2c`, default `r2c`).
-    pub fn from_env() -> Self {
-        match std::env::var("DIFFREG_SPECTRAL").as_deref() {
-            Ok("c2c") | Ok("C2C") => SpectralPath::C2C,
-            _ => SpectralPath::R2C,
-        }
-    }
-}
 
 /// A per-rank plan for distributed FFTs over a pencil decomposition.
 ///
@@ -62,9 +35,9 @@ pub struct PencilFft<C: Comm> {
     rank: usize,
     row: C::Sub,
     col: C::Sub,
-    plans: [Fft1d; 3],
+    /// Complex transforms along axes 0 and 1; axis 2 is real-to-complex.
+    plans: [Fft1d; 2],
     rplan2: RealFft1d,
-    path: SpectralPath,
 }
 
 impl<C: Comm> std::fmt::Debug for PencilFft<C> {
@@ -77,14 +50,9 @@ impl<C: Comm> std::fmt::Debug for PencilFft<C> {
 }
 
 impl<C: Comm> PencilFft<C> {
-    /// Creates a plan (collective) on the path selected by
-    /// `DIFFREG_SPECTRAL`. `comm.size()` must equal `decomp.size()`.
+    /// Creates a plan (collective). `comm.size()` must equal
+    /// `decomp.size()`.
     pub fn new(comm: &C, decomp: Decomp) -> Self {
-        Self::with_path(comm, decomp, SpectralPath::from_env())
-    }
-
-    /// Creates a plan (collective) with an explicit spectral path.
-    pub fn with_path(comm: &C, decomp: Decomp, path: SpectralPath) -> Self {
         assert_eq!(comm.size(), decomp.size(), "communicator does not match decomposition");
         let rank = comm.rank();
         let (r1, r2) = decomp.coords(rank);
@@ -99,15 +67,9 @@ impl<C: Comm> PencilFft<C> {
             rank,
             row,
             col,
-            plans: [Fft1d::new(n[0]), Fft1d::new(n[1]), Fft1d::new(n[2])],
+            plans: [Fft1d::new(n[0]), Fft1d::new(n[1])],
             rplan2: RealFft1d::new(n[2]),
-            path,
         }
-    }
-
-    /// The spectral path the high-level operators route through.
-    pub fn path(&self) -> SpectralPath {
-        self.path
     }
 
     /// The decomposition this plan works over.
@@ -125,59 +87,15 @@ impl<C: Comm> PencilFft<C> {
         self.decomp.block(self.rank, Layout::Spatial)
     }
 
-    /// This rank's spectral-layout block.
-    pub fn spectral_block(&self) -> diffreg_grid::Block {
-        self.decomp.block(self.rank, Layout::Spectral)
-    }
-
-    /// Forward distributed FFT of a real field (spatial layout) into
-    /// spectral coefficients (spectral layout).
-    pub fn forward(&self, field: &ScalarField, timers: &Timers) -> SpectralField {
-        let _span = diffreg_telemetry::span("fft.forward");
-        let sb = self.spatial_block();
-        assert_eq!(field.block(), sb, "field not in this plan's spatial layout");
-        let n = self.decomp.grid.n;
-        let c0 = sb.count[0];
-        let ws = &mut FftScratch::default();
-
-        let mut data: Vec<Complex64> =
-            field.data().iter().map(|&v| Complex64::from_real(v)).collect();
-        // Axis 2: contiguous rows, through transposed tiles.
-        let plan2 = &self.plans[2];
-        timers.time("fft_exec", || transform_rows(plan2, &mut data, Direction::Forward, ws));
-        let data = timers.time("fft_comm", || fwd_mid(&self.row, data, c0, n[1], n[2]));
-        let data = self.forward_mid_spec(data, n[2], timers, ws);
-        timers.count("fft_3d", 1);
-        SpectralField { grid: self.decomp.grid, block: self.spectral_block(), data }
-    }
-
-    /// Inverse distributed FFT back to a real field in the spatial layout.
-    pub fn inverse(&self, spec: &SpectralField, timers: &Timers) -> ScalarField {
-        let _span = diffreg_telemetry::span("fft.inverse");
-        assert_eq!(spec.block, self.spectral_block(), "coefficients not in this plan's layout");
-        let n = self.decomp.grid.n;
-        let sb = self.spatial_block();
-        let ws = &mut FftScratch::default();
-
-        let data = self.inverse_spec_mid(spec.data.clone(), n[2], timers, ws);
-        let c0 = sb.count[0];
-        let mut data = timers.time("fft_comm", || inv_mid(&self.row, data, c0, n[1], n[2]));
-        let plan2 = &self.plans[2];
-        timers.time("fft_exec", || transform_rows(plan2, &mut data, Direction::Inverse, ws));
-        timers.count("fft_3d", 1);
-        ScalarField::from_vec(sb, data.into_iter().map(|z| z.re).collect())
-    }
-
-    /// This rank's half-spectrum block (r2c layout).
+    /// This rank's half-spectrum block.
     pub fn half_block(&self) -> diffreg_grid::Block {
         half_spectral_block(&self.decomp, self.rank)
     }
 
-    /// Forward distributed r2c FFT into Hermitian half-spectrum
-    /// coefficients: only axis-2 bins `0..=n2/2` are computed, transposed,
-    /// and stored. Same transpose routines as [`Self::forward`], with the
-    /// axis-2 extent replaced by `n2/2 + 1`.
-    pub fn forward_half(&self, field: &ScalarField, timers: &Timers) -> HalfSpectralField {
+    /// Forward distributed r2c FFT of a real field (spatial layout) into
+    /// Hermitian half-spectrum coefficients: only axis-2 bins `0..=n2/2`
+    /// are computed, transposed, and stored.
+    pub fn forward(&self, field: &ScalarField, timers: &Timers) -> HalfSpectralField {
         let _span = diffreg_telemetry::span("fft.forward");
         let sb = self.spatial_block();
         assert_eq!(field.block(), sb, "field not in this plan's spatial layout");
@@ -190,15 +108,26 @@ impl<C: Comm> PencilFft<C> {
         // widening pass over the full field).
         let mut data = vec![Complex64::ZERO; c0 * c1 * n2h];
         timers.time("fft_exec", || self.rplan2.forward_rows(field.data(), &mut data, ws));
-        let data = timers.time("fft_comm", || fwd_mid(&self.row, data, c0, n[1], n2h));
-        let data = self.forward_mid_spec(data, n2h, timers, ws);
+        let mut data = timers.time("fft_comm", || fwd_mid(&self.row, data, c0, n[1], n2h));
+        // Mid layout `(c0, n1, c2)`: each `i0` slab is one `[n1][c2]` batch
+        // of axis-1 columns; after the column transpose the whole
+        // `[n0][c1s c2]` block is one batch of axis-0 columns.
+        let c2 = diffreg_grid::slab(n2h, self.row.size(), self.row.rank()).1;
+        let c1s = diffreg_grid::slab(n[1], self.col.size(), self.col.rank()).1;
+        timers.time("fft_exec", || {
+            transform_columns(&self.plans[1], &mut data, c2, Direction::Forward, ws)
+        });
+        let mut data = timers.time("fft_comm", || fwd_spec(&self.col, data, n[0], n[1], c2));
+        timers.time("fft_exec", || {
+            transform_columns(&self.plans[0], &mut data, c1s * c2, Direction::Forward, ws)
+        });
         timers.count("fft_3d", 1);
         HalfSpectralField { grid: self.decomp.grid, block: self.half_block(), data }
     }
 
     /// Inverse distributed c2r FFT from half-spectrum coefficients back to
     /// a real field in the spatial layout.
-    pub fn inverse_half(&self, spec: &HalfSpectralField, timers: &Timers) -> ScalarField {
+    pub fn inverse(&self, spec: &HalfSpectralField, timers: &Timers) -> ScalarField {
         let _span = diffreg_telemetry::span("fft.inverse");
         assert_eq!(spec.block, self.half_block(), "coefficients not in this plan's half layout");
         let n = self.decomp.grid.n;
@@ -207,59 +136,21 @@ impl<C: Comm> PencilFft<C> {
         let [c0, c1, _] = sb.count;
         let ws = &mut FftScratch::default();
 
-        let data = self.inverse_spec_mid(spec.data.clone(), n2h, timers, ws);
-        let data = timers.time("fft_comm", || inv_mid(&self.row, data, c0, n[1], n2h));
-        let mut out = vec![0.0; c0 * c1 * n[2]];
-        timers.time("fft_exec", || self.rplan2.inverse_rows(&data, &mut out, ws));
-        timers.count("fft_3d", 1);
-        ScalarField::from_vec(sb, out)
-    }
-
-    /// The forward steps after the row transpose, shared by the c2c and
-    /// r2c paths: `data` is the mid layout `(c0, n1, c2)` with `nz` the
-    /// global axis-2 extent (`n2` or `n2/2 + 1`). Each `i0` slab is one
-    /// `[n1][c2]` batch of axis-1 columns; after the column transpose the
-    /// whole `[n0][c1 c2]` block is one batch of axis-0 columns.
-    fn forward_mid_spec(
-        &self,
-        mut data: Vec<Complex64>,
-        nz: usize,
-        timers: &Timers,
-        ws: &mut FftScratch,
-    ) -> Vec<Complex64> {
-        let n = self.decomp.grid.n;
-        let c2 = diffreg_grid::slab(nz, self.row.size(), self.row.rank()).1;
-        let c1 = diffreg_grid::slab(n[1], self.col.size(), self.col.rank()).1;
+        let mut data = spec.data.clone();
+        let c2 = diffreg_grid::slab(n2h, self.row.size(), self.row.rank()).1;
+        let c1s = diffreg_grid::slab(n[1], self.col.size(), self.col.rank()).1;
         timers.time("fft_exec", || {
-            transform_columns(&self.plans[1], &mut data, c2, Direction::Forward, ws)
-        });
-        let mut data = timers.time("fft_comm", || fwd_spec(&self.col, data, n[0], n[1], c2));
-        timers.time("fft_exec", || {
-            transform_columns(&self.plans[0], &mut data, c1 * c2, Direction::Forward, ws)
-        });
-        data
-    }
-
-    /// Inverse of [`Self::forward_mid_spec`]: spectral layout in, mid
-    /// layout `(c0, n1, c2)` out.
-    fn inverse_spec_mid(
-        &self,
-        mut data: Vec<Complex64>,
-        nz: usize,
-        timers: &Timers,
-        ws: &mut FftScratch,
-    ) -> Vec<Complex64> {
-        let n = self.decomp.grid.n;
-        let c2 = diffreg_grid::slab(nz, self.row.size(), self.row.rank()).1;
-        let c1 = diffreg_grid::slab(n[1], self.col.size(), self.col.rank()).1;
-        timers.time("fft_exec", || {
-            transform_columns(&self.plans[0], &mut data, c1 * c2, Direction::Inverse, ws)
+            transform_columns(&self.plans[0], &mut data, c1s * c2, Direction::Inverse, ws)
         });
         let mut data = timers.time("fft_comm", || inv_spec(&self.col, data, n[0], n[1], c2));
         timers.time("fft_exec", || {
             transform_columns(&self.plans[1], &mut data, c2, Direction::Inverse, ws)
         });
-        data
+        let data = timers.time("fft_comm", || inv_mid(&self.row, data, c0, n[1], n2h));
+        let mut out = vec![0.0; c0 * c1 * n[2]];
+        timers.time("fft_exec", || self.rplan2.inverse_rows(&data, &mut out, ws));
+        timers.count("fft_3d", 1);
+        ScalarField::from_vec(sb, out)
     }
 
     /// Applies a real diagonal symbol `sym(|k|²)` to a field (2 FFTs).
@@ -269,119 +160,55 @@ impl<C: Comm> PencilFft<C> {
         sym: impl Fn(f64) -> f64,
         timers: &Timers,
     ) -> ScalarField {
-        match self.path {
-            SpectralPath::R2C => {
-                let mut spec = self.forward_half(field, timers);
-                spec.apply_symbol(sym);
-                self.inverse_half(&spec, timers)
-            }
-            SpectralPath::C2C => {
-                let mut spec = self.forward(field, timers);
-                spec.apply_symbol(sym);
-                self.inverse(&spec, timers)
-            }
-        }
+        let mut spec = self.forward(field, timers);
+        spec.apply_symbol(sym);
+        self.inverse(&spec, timers)
     }
 
     /// Partial derivative along `axis` (2 FFTs).
     pub fn derivative(&self, field: &ScalarField, axis: usize, timers: &Timers) -> ScalarField {
-        match self.path {
-            SpectralPath::R2C => {
-                let mut spec = self.forward_half(field, timers);
-                spec.differentiate(axis);
-                self.inverse_half(&spec, timers)
-            }
-            SpectralPath::C2C => {
-                let mut spec = self.forward(field, timers);
-                spec.differentiate(axis);
-                self.inverse(&spec, timers)
-            }
-        }
+        let mut spec = self.forward(field, timers);
+        spec.differentiate(axis);
+        self.inverse(&spec, timers)
     }
 
     /// Gradient `∇f` (1 forward + 3 inverse FFTs).
     pub fn gradient(&self, field: &ScalarField, timers: &Timers) -> VectorField {
-        match self.path {
-            SpectralPath::R2C => {
-                let spec = self.forward_half(field, timers);
-                let comps = [0usize, 1, 2].map(|axis| {
-                    let mut s = spec.clone();
-                    s.differentiate(axis);
-                    self.inverse_half(&s, timers)
-                });
-                VectorField { comps }
-            }
-            SpectralPath::C2C => {
-                let spec = self.forward(field, timers);
-                let comps = [0usize, 1, 2].map(|axis| {
-                    let mut s = spec.clone();
-                    s.differentiate(axis);
-                    self.inverse(&s, timers)
-                });
-                VectorField { comps }
-            }
-        }
+        let spec = self.forward(field, timers);
+        let comps = [0usize, 1, 2].map(|axis| {
+            let mut s = spec.clone();
+            s.differentiate(axis);
+            self.inverse(&s, timers)
+        });
+        VectorField { comps }
     }
 
     /// Divergence `div v` (3 forward + 1 inverse FFTs).
     pub fn divergence(&self, v: &VectorField, timers: &Timers) -> ScalarField {
-        match self.path {
-            SpectralPath::R2C => {
-                let mut acc = self.forward_half(&v.comps[0], timers);
-                acc.differentiate(0);
-                for axis in 1..3 {
-                    let mut s = self.forward_half(&v.comps[axis], timers);
-                    s.differentiate(axis);
-                    acc.axpy(1.0, &s);
-                }
-                self.inverse_half(&acc, timers)
-            }
-            SpectralPath::C2C => {
-                let mut acc = self.forward(&v.comps[0], timers);
-                acc.differentiate(0);
-                for axis in 1..3 {
-                    let mut s = self.forward(&v.comps[axis], timers);
-                    s.differentiate(axis);
-                    acc.axpy(1.0, &s);
-                }
-                self.inverse(&acc, timers)
-            }
+        let mut acc = self.forward(&v.comps[0], timers);
+        acc.differentiate(0);
+        for axis in 1..3 {
+            let mut s = self.forward(&v.comps[axis], timers);
+            s.differentiate(axis);
+            acc.axpy(1.0, &s);
         }
+        self.inverse(&acc, timers)
     }
 
     /// Leray projection of a vector field onto divergence-free fields (6 FFTs).
     pub fn leray(&self, v: &VectorField, timers: &Timers) -> VectorField {
-        match self.path {
-            SpectralPath::R2C => {
-                let mut spec = [
-                    self.forward_half(&v.comps[0], timers),
-                    self.forward_half(&v.comps[1], timers),
-                    self.forward_half(&v.comps[2], timers),
-                ];
-                leray_project_half(&mut spec);
-                VectorField {
-                    comps: [
-                        self.inverse_half(&spec[0], timers),
-                        self.inverse_half(&spec[1], timers),
-                        self.inverse_half(&spec[2], timers),
-                    ],
-                }
-            }
-            SpectralPath::C2C => {
-                let mut spec = [
-                    self.forward(&v.comps[0], timers),
-                    self.forward(&v.comps[1], timers),
-                    self.forward(&v.comps[2], timers),
-                ];
-                leray_project(&mut spec);
-                VectorField {
-                    comps: [
-                        self.inverse(&spec[0], timers),
-                        self.inverse(&spec[1], timers),
-                        self.inverse(&spec[2], timers),
-                    ],
-                }
-            }
+        let mut spec = [
+            self.forward(&v.comps[0], timers),
+            self.forward(&v.comps[1], timers),
+            self.forward(&v.comps[2], timers),
+        ];
+        leray_project_half(&mut spec);
+        VectorField {
+            comps: [
+                self.inverse(&spec[0], timers),
+                self.inverse(&spec[1], timers),
+                self.inverse(&spec[2], timers),
+            ],
         }
     }
 
@@ -431,18 +258,9 @@ impl<C: Comm> PencilFft<C> {
     /// Spectral translation: returns `f(x - s)` exactly (for band-limited
     /// fields) via the phase factor `exp(-i k·s)` (2 FFTs).
     pub fn translate(&self, field: &ScalarField, s: [f64; 3], timers: &Timers) -> ScalarField {
-        match self.path {
-            SpectralPath::R2C => {
-                let mut spec = self.forward_half(field, timers);
-                spec.phase_shift(s);
-                self.inverse_half(&spec, timers)
-            }
-            SpectralPath::C2C => {
-                let mut spec = self.forward(field, timers);
-                spec.phase_shift(s);
-                self.inverse(&spec, timers)
-            }
-        }
+        let mut spec = self.forward(field, timers);
+        spec.phase_shift(s);
+        self.inverse(&spec, timers)
     }
 }
 
@@ -490,7 +308,8 @@ mod tests {
             let f = ScalarField::from_fn(&grid, block, test_fn);
             let timers = Timers::new();
             let spec = plan.forward(&f, &timers);
-            // Compare the owned spectral block against the serial transform.
+            // The owned half-spectrum bins sit at the same global indices
+            // in the serial full spectrum.
             for (l, &z) in spec.data.iter().enumerate() {
                 let gi = spec.block.global_of_local(l);
                 let expect = serial[grid.flatten(gi)];

@@ -1,13 +1,13 @@
 //! Seeded property tests of the distributed FFT against the serial oracle
 //! and against analytic plane waves, over random grids, process layouts,
-//! and band-limited fields; and bitwise agreement of the r2c path across
-//! process grids.
+//! and band-limited fields; and bitwise agreement of the transform pair
+//! across process grids.
 
 use std::collections::BTreeMap;
 
 use diffreg_comm::{run_threaded, Comm, SerialComm, Timers};
 use diffreg_grid::{Decomp, Grid, Layout, ScalarField};
-use diffreg_pfft::{PencilFft, SpectralPath};
+use diffreg_pfft::PencilFft;
 use diffreg_spectral::SerialSpectral;
 use diffreg_testkit::oracle::PlaneWave;
 use diffreg_testkit::prop_check;
@@ -114,8 +114,20 @@ fn parseval_holds_distributed() {
             let timers = Timers::new();
             let spec = plan.forward(&field, &timers);
             let e_time = comm.sum_f64(field.data().iter().map(|v| v * v).sum());
-            let e_freq =
-                comm.sum_f64(spec.data.iter().map(|z| z.norm_sqr()).sum()) / grid.total() as f64;
+            // Each stored bin with 0 < k2 < n2/2 also stands for its
+            // conjugate partner in the omitted half.
+            let n2 = grid.n[2];
+            let e_half: f64 = spec
+                .data
+                .iter()
+                .enumerate()
+                .map(|(l, z)| {
+                    let i2 = spec.block.global_of_local(l)[2];
+                    let w = if i2 > 0 && 2 * i2 < n2 { 2.0 } else { 1.0 };
+                    w * z.norm_sqr()
+                })
+                .sum();
+            let e_freq = comm.sum_f64(e_half) / grid.total() as f64;
             assert!((e_time - e_freq).abs() < 1e-7 * (1.0 + e_time));
         });
     });
@@ -141,8 +153,8 @@ fn translate_shifts_bandlimited_fields_exactly() {
     });
 }
 
-/// Every global half-spectrum bin of `forward_half`, and every grid value of
-/// `inverse_half` applied to it, as bit patterns, on a `p1 x p2` grid.
+/// Every global half-spectrum bin of `forward`, and every grid value of
+/// `inverse` applied to it, as bit patterns, on a `p1 x p2` grid.
 #[allow(clippy::type_complexity)]
 fn half_transform_bits(
     grid: Grid,
@@ -152,11 +164,11 @@ fn half_transform_bits(
 ) -> (BTreeMap<[usize; 3], (u64, u64)>, BTreeMap<[usize; 3], u64>) {
     let per_rank = run_threaded(p1 * p2, move |comm| {
         let decomp = Decomp::with_process_grid(grid, p1, p2);
-        let plan = PencilFft::with_path(comm, decomp, SpectralPath::R2C);
+        let plan = PencilFft::new(comm, decomp);
         let field = field_from_seed(&grid, plan.spatial_block(), seed);
         let timers = Timers::new();
-        let spec = plan.forward_half(&field, &timers);
-        let back = plan.inverse_half(&spec, &timers);
+        let spec = plan.forward(&field, &timers);
+        let back = plan.inverse(&spec, &timers);
         let bins: Vec<_> = spec
             .data
             .iter()
@@ -195,8 +207,8 @@ fn half_transforms_are_bitwise_equal_across_process_grids() {
         let serial = half_transform_bits(grid, 1, 1, seed);
         for (p1, p2) in [(1, 2), (2, 2)] {
             let got = half_transform_bits(grid, p1, p2, seed);
-            assert!(got.0 == serial.0, "forward_half bins differ on {p1}x{p2}, n={n:?}");
-            assert!(got.1 == serial.1, "inverse_half values differ on {p1}x{p2}, n={n:?}");
+            assert!(got.0 == serial.0, "forward bins differ on {p1}x{p2}, n={n:?}");
+            assert!(got.1 == serial.1, "inverse values differ on {p1}x{p2}, n={n:?}");
         }
     });
 }

@@ -1,10 +1,12 @@
-//! Oracle-parity tier for the distributed r2c path: the half-spectrum
-//! plan must round-trip to near machine precision and every operator must
-//! match the c2c reference path bin-for-bin on seeded random real fields.
+//! Oracle-parity tier for the distributed r2c transform pair: the
+//! half-spectrum plan must round-trip to near machine precision and every
+//! operator must match the serial c2c oracle point-for-point on seeded
+//! random real fields.
 
 use diffreg_comm::{run_threaded, Timers};
-use diffreg_grid::{Decomp, Grid, ScalarField, VectorField};
-use diffreg_pfft::{PencilFft, SpectralPath};
+use diffreg_grid::{Decomp, Grid, Layout, ScalarField, VectorField};
+use diffreg_pfft::PencilFft;
+use diffreg_spectral::SerialSpectral;
 use diffreg_testkit::{prop_check, Rng};
 
 /// A smooth but symmetry-free scalar field parameterized by a seed.
@@ -37,7 +39,18 @@ fn assert_fields_close(a: &ScalarField, b: &ScalarField, tol: f64, what: &str) {
     }
 }
 
-/// Forward∘inverse on the half-spectrum path is the identity to 1e-12,
+/// Compares a distributed field with a full-grid oracle at the same global
+/// indices.
+fn assert_matches_oracle(got: &ScalarField, oracle: &[f64], grid: &Grid, tol: f64, what: &str) {
+    let block = got.block();
+    for (l, x) in got.data().iter().enumerate() {
+        let gi = block.global_of_local(l);
+        let y = oracle[grid.flatten(gi)];
+        assert!((x - y).abs() < tol, "{what} at {gi:?}: {x} vs {y}");
+    }
+}
+
+/// Forward∘inverse on the half-spectrum plan is the identity to 1e-12,
 /// including odd extents (full-c2c axis-2 fallback) and prime extents.
 #[test]
 fn r2c_roundtrip_is_identity() {
@@ -51,21 +64,23 @@ fn r2c_roundtrip_is_identity() {
         let grid = Grid::new(n);
         run_threaded(p1 * p2, move |comm| {
             let decomp = Decomp::with_process_grid(grid, p1, p2);
-            let plan = PencilFft::with_path(comm, decomp, SpectralPath::R2C);
+            let plan = PencilFft::new(comm, decomp);
             let field = seeded_scalar(&grid, plan.spatial_block(), 42);
             let timers = Timers::new();
-            let spec = plan.forward_half(&field, &timers);
+            let spec = plan.forward(&field, &timers);
             assert_eq!(spec.data.len(), plan.half_block().len());
-            let back = plan.inverse_half(&spec, &timers);
+            let back = plan.inverse(&spec, &timers);
             assert_fields_close(&back, &field, 1e-12, "r2c roundtrip");
         });
     }
 }
 
-/// Every operator on the r2c path matches the c2c reference path on
-/// seeded random fields, across serial and distributed layouts.
+/// Every distributed operator matches the serial c2c oracle
+/// ([`SerialSpectral`]) on seeded random fields, across serial and
+/// distributed layouts. (`translate` is pinned by its analytic oracle in
+/// `properties.rs`.)
 #[test]
-fn r2c_operators_match_c2c_path() {
+fn r2c_operators_match_serial_oracle() {
     prop_check!(cases = 8, |rng| {
         let seed = rng.next_u64() % 10_000;
         let (n, p1, p2) = match rng.index(4) {
@@ -75,65 +90,53 @@ fn r2c_operators_match_c2c_path() {
             _ => ([7, 6, 4], 1, 2),
         };
         let grid = Grid::new(n);
-        run_threaded(p1 * p2, move |comm| {
+        let oracle = SerialSpectral::new(n);
+        let full = Decomp::new(grid, 1).block(0, Layout::Spatial);
+        let f = seeded_scalar(&grid, full, seed);
+        let v = seeded_vector(&grid, full, seed);
+        let v_full = [v.comps[0].data(), v.comps[1].data(), v.comps[2].data()];
+        let grad = oracle.gradient(f.data());
+        let smooth = oracle.gaussian_smooth(f.data(), 0.5);
+        let div = oracle.divergence(v_full);
+        let leray = oracle.leray(v_full);
+        run_threaded(p1 * p2, |comm| {
             let decomp = Decomp::with_process_grid(grid, p1, p2);
-            let fast = PencilFft::with_path(comm, decomp, SpectralPath::R2C);
-            let reference = PencilFft::with_path(comm, decomp, SpectralPath::C2C);
-            assert_eq!(fast.path(), SpectralPath::R2C);
-            assert_eq!(reference.path(), SpectralPath::C2C);
+            let plan = PencilFft::new(comm, decomp);
             let timers = Timers::new();
             let tol = 1e-10 * grid.total() as f64;
 
-            let f = seeded_scalar(&grid, fast.spatial_block(), seed);
-            let g_fast = fast.gradient(&f, &timers);
-            let g_ref = reference.gradient(&f, &timers);
-            for axis in 0..3 {
-                assert_fields_close(
-                    &g_fast.comps[axis],
-                    &g_ref.comps[axis],
-                    tol,
-                    &format!("gradient axis {axis}"),
-                );
+            let f = seeded_scalar(&grid, plan.spatial_block(), seed);
+            let g = plan.gradient(&f, &timers);
+            for (axis, (got, want)) in g.comps.iter().zip(&grad).enumerate() {
+                assert_matches_oracle(got, want, &grid, tol, &format!("gradient axis {axis}"));
             }
 
-            let s_fast = fast.gaussian_smooth(&f, 0.5, &timers);
-            let s_ref = reference.gaussian_smooth(&f, 0.5, &timers);
-            assert_fields_close(&s_fast, &s_ref, tol, "gaussian_smooth");
+            let s = plan.gaussian_smooth(&f, 0.5, &timers);
+            assert_matches_oracle(&s, &smooth, &grid, tol, "gaussian_smooth");
 
-            let t_fast = fast.translate(&f, [0.3, -0.7, 1.1], &timers);
-            let t_ref = reference.translate(&f, [0.3, -0.7, 1.1], &timers);
-            assert_fields_close(&t_fast, &t_ref, tol, "translate");
+            let v = seeded_vector(&grid, plan.spatial_block(), seed);
+            let d = plan.divergence(&v, &timers);
+            assert_matches_oracle(&d, &div, &grid, tol, "divergence");
 
-            let v = seeded_vector(&grid, fast.spatial_block(), seed);
-            let d_fast = fast.divergence(&v, &timers);
-            let d_ref = reference.divergence(&v, &timers);
-            assert_fields_close(&d_fast, &d_ref, tol, "divergence");
-
-            let l_fast = fast.leray(&v, &timers);
-            let l_ref = reference.leray(&v, &timers);
-            for axis in 0..3 {
-                assert_fields_close(
-                    &l_fast.comps[axis],
-                    &l_ref.comps[axis],
-                    tol,
-                    &format!("leray axis {axis}"),
-                );
+            let l = plan.leray(&v, &timers);
+            for (axis, (got, want)) in l.comps.iter().zip(&leray).enumerate() {
+                assert_matches_oracle(got, want, &grid, tol, &format!("leray axis {axis}"));
             }
             // The projection must actually be divergence-free.
-            let div = fast.divergence(&l_fast, &timers);
+            let div = plan.divergence(&l, &timers);
             assert!(div.max_abs(comm) < tol, "projected divergence");
         });
     });
 }
 
-/// The distributed gradient costs one forward + three inverse transforms
-/// on the half-spectrum path — the `fft_3d` counter must read exactly 4.
+/// The distributed gradient costs one forward + three inverse transforms —
+/// the `fft_3d` counter must read exactly 4.
 #[test]
 fn distributed_gradient_costs_four_transforms() {
     let grid = Grid::new([8, 8, 8]);
     run_threaded(4, move |comm| {
         let decomp = Decomp::with_process_grid(grid, 2, 2);
-        let plan = PencilFft::with_path(comm, decomp, SpectralPath::R2C);
+        let plan = PencilFft::new(comm, decomp);
         let f = seeded_scalar(&grid, plan.spatial_block(), 7);
         let timers = Timers::new();
         let _ = plan.gradient(&f, &timers);

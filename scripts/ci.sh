@@ -5,8 +5,8 @@
 # external crates. This script enforces all of it:
 #   1. release build, fully offline
 #   2. full workspace test suite, fully offline
-#   3. kernel-overhaul parity tier in release mode: r2c/SoA/f32 fast paths
-#      vs the reference paths and analytic oracles, both switch positions
+#   3. oracle-parity tier in release mode: the r2c spectral operators vs the
+#      serial oracle, the FFT oracles, and the warm-arena zero-alloc check
 #   4. debug-assertions test pass (collective-contract checker active)
 #   5. chaos / resilience suites at fixed seeds (fault-injection drills)
 #   6. telemetry smoke: traced 4-rank 32^3 registration must yield a valid
@@ -42,20 +42,18 @@ cargo build --workspace --release --offline
 echo "==> [2/16] cargo test --offline (workspace, release)"
 cargo test --workspace --release -q --offline
 
-echo "==> [3/16] kernel-overhaul parity tier (r2c / f32, release)"
-# The fast defaults (half-spectrum r2c transforms, optional f32
-# reductions) are pinned against the slow reference paths and the
-# analytic oracles: r2c roundtrip/operator parity, the f32 GaussianPair
-# tolerance tier, and the warm-arena zero-allocation check. Then the
-# whole core oracle tier re-runs with the c2c spectral path forced,
-# proving both sides of that config switch stay green. Interpolation has
-# one path; its per-point kernel oracle runs in the interp unit tests.
+echo "==> [3/16] oracle-parity tier (r2c operators, digests, zero-alloc; release)"
+# The solver has one spectral path (half-spectrum r2c transforms) and one
+# reduction precision (f64). The FFT engine runs against its oracles, the
+# distributed r2c operators against the serial c2c oracle
+# (diffreg_spectral::SerialSpectral), the pinned solve set against its
+# digest manifest, and the warm arena against the zero-allocation check.
+# Interpolation has one path; its per-point kernel oracle runs in the
+# interp unit tests.
 cargo test -p diffreg-fft --release -q --offline
 cargo test -p diffreg-pfft --release -q --offline --test r2c_parity
-cargo test -p diffreg-core --release -q --offline --test precision
+cargo test -p diffreg-core --release -q --offline --test digests
 cargo test -p diffreg-core --release -q --offline --test zero_alloc
-DIFFREG_SPECTRAL=c2c cargo test -p diffreg-core --release -q --offline
-DIFFREG_SPECTRAL=c2c cargo test -p diffreg-pfft --release -q --offline
 
 echo "==> [4/16] cargo test --offline (workspace, debug: contract checker on)"
 # Debug builds default the collective-ordering contract checker to ON
