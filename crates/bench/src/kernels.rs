@@ -51,6 +51,13 @@ fn push(suite: &mut BenchSuite, name: &str, warmup: usize, k: usize, f: impl FnM
 fn bench_fft(suite: &mut BenchSuite, warmup: usize, k: usize, sizes: &[usize]) {
     for &n in sizes {
         let ctx = Ctx::new(n);
+        // Allocator state: glibc serves a buffer above its mmap threshold
+        // with fresh pages and raises the threshold to the largest such
+        // buffer freed. Freeing one buffer the size of a full n³ complex
+        // field first keeps the per-call transform buffers on the heap, so
+        // the records time the transforms, not page faults (the state the
+        // checked-in medians were measured in).
+        drop(std::hint::black_box(vec![1.0f64; 2 * ctx.grid.total()]));
         let fft = PencilFft::new(&ctx.comm, ctx.decomp);
         let timers = Timers::new();
         let field = ScalarField::from_fn(&ctx.grid, fft.spatial_block(), |x| {
